@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from repro.core.spec import SFC
 from repro.core.state import PipelineState
+from repro.units import units_to_gbps
 
 #: Reason codes an :class:`AdmissionDecision` (or the controller itself) can
 #: carry; the metrics layer mirrors them as ``rejected.<reason>`` counters.
@@ -107,16 +108,16 @@ def check_admission(
         # A chain of J NFs needs at least ceil(J / S) passes, each carrying
         # the tenant's full bandwidth across the backplane (Eq. 12 LHS).
         min_passes = -(-sfc.length // switch.stages)
-        demand = min_passes * sfc.bandwidth_gbps
-        residual = switch.capacity_gbps - state.backplane_gbps
-        if demand > residual + 1e-9:
+        demand = min_passes * sfc.bandwidth_units
+        residual = switch.capacity_units - state.backplane_units
+        if demand > residual:
             return AdmissionDecision(
                 admitted=False,
                 reason="backplane-exhausted",
                 detail=(
-                    f"needs >= {demand:.1f} Gbps backplane "
+                    f"needs >= {units_to_gbps(demand):.1f} Gbps backplane "
                     f"({min_passes} passes x {sfc.bandwidth_gbps:.1f} Gbps), "
-                    f"residual {residual:.1f} Gbps"
+                    f"residual {units_to_gbps(residual):.1f} Gbps"
                 ),
             )
 

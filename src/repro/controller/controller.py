@@ -20,11 +20,13 @@ pre-event snapshot, so the two sides never diverge.
 
 The controller maintains one strict invariant, exercised by the churn test
 suite: after any event sequence, its incremental
-:class:`~repro.core.state.PipelineState` is **bit-identical** (exact integer
-arrays, exact float backplane) to a from-scratch recomputation over the
-surviving placement.  Float-exactness holds because the controller
-renormalizes the backplane sum in sorted-tenant order after every event —
-the same order :meth:`PipelineState.from_placement` accumulates in.
+:class:`~repro.core.state.PipelineState` is **bit-identical** to a
+from-scratch recomputation over the surviving placement.  It holds by
+construction: every quantity — the block matrices and the backplane load
+alike — is an exact integer (bandwidth in the whole units of
+:mod:`repro.units`), and every op charges or releases exactly its own
+tenant's share, so no accumulation order can make the totals drift.  The
+gauges are running totals too; no event walks the live tenants.
 
 Like the paper's incremental updater, drift from the global optimum can be
 bounded: :meth:`SfcController.maybe_reconfigure` compares the live placement
@@ -54,6 +56,7 @@ from repro.nfs.registry import get_nf, install_physical_nf
 from repro.telemetry.metrics import MetricsRegistry, Timer
 from repro.telemetry.recorder import FlightRecorder
 from repro.telemetry.spans import Tracer, maybe_span
+from repro.units import units_to_gbps
 
 #: ``rule_factory(sfc, position, nf_name) -> rules`` — the concrete table
 #: entries carried by one NF of a tenant's chain on the functional data
@@ -79,6 +82,10 @@ class TenantRecord:
     def assignment(self, index: int) -> NFAssignment:
         """The tenant's chain assignment keyed as SFC ``index``."""
         return NFAssignment(sfc_index=index, stages=self.stages)
+
+    def backplane_units(self, stages_per_pass: int) -> int:
+        """Backplane units this tenant holds: passes x demand (Eq. 12)."""
+        return -(-self.stages[-1] // stages_per_pass) * self.sfc.bandwidth_units
 
 
 @dataclass
@@ -143,6 +150,9 @@ class SfcController:
             reserve_physical_block=reserve_physical_block,
         )
         self.tenants: dict[int, TenantRecord] = {}
+        #: Running Eq. (1) objective ``sum T_l * J_l`` over live tenants,
+        #: in accounting units (exact, so it never needs a re-sum).
+        self._objective_units = 0
         self.metrics = MetricsRegistry()
         self.tracer = tracer
         self.recorder = recorder
@@ -201,10 +211,10 @@ class SfcController:
     def placement(self) -> Placement:
         """The live placement over :attr:`population_instance`.
 
-        Assignments are keyed (and inserted) in sorted-tenant order, so
-        :meth:`PipelineState.from_placement` over this placement accumulates
-        the backplane float sum in exactly the controller's renormalization
-        order — the bit-identity the churn invariant test asserts.
+        Assignments are keyed in sorted-tenant order, matching
+        :attr:`population_instance`; :meth:`PipelineState.from_placement`
+        over it is the from-scratch oracle the churn invariant compares
+        the incremental state against.
         """
         ordered = sorted(self.tenants)
         assignments = {
@@ -242,24 +252,33 @@ class SfcController:
     # ------------------------------------------------------------------
     # Internal helpers
     # ------------------------------------------------------------------
-    def _renormalize_backplane(self) -> None:
-        """Recompute the backplane float sum in sorted-tenant order — the
-        exact accumulation order (and arithmetic) of
-        :meth:`PipelineState.from_placement`, so incremental state stays
-        bit-identical to a from-scratch recomputation."""
-        S = self.base.switch.stages
-        total = 0.0
-        for idx, t in enumerate(sorted(self.tenants)):
-            record = self.tenants[t]
-            total += record.assignment(idx).passes(S) * record.sfc.bandwidth_gbps
-        self.state.backplane_gbps = total
+    def _set_record(self, tenant_id: int, record: TenantRecord | None) -> None:
+        """Write (or, with ``None``, drop) one tenant record, moving the
+        running objective by exactly the difference, then refresh the
+        gauges from the running totals."""
+        old = self.tenants.get(tenant_id)
+        if old is not None:
+            self._objective_units -= old.sfc.bandwidth_units * old.sfc.length
+        if record is None:
+            self.tenants.pop(tenant_id, None)
+        else:
+            self.tenants[tenant_id] = record
+            self._objective_units += record.sfc.bandwidth_units * record.sfc.length
+        self._refresh_gauges()
 
     def _refresh_gauges(self) -> None:
         self.metrics.gauge("tenants").set(len(self.tenants))
         self.metrics.gauge("backplane_gbps").set(self.state.backplane_gbps)
-        self.metrics.gauge("objective").set(
-            sum(rec.sfc.weight for rec in self.tenants.values())
-        )
+        self.metrics.gauge("objective").set(units_to_gbps(self._objective_units))
+
+    def _release(self, record: TenantRecord) -> None:
+        """Return one tenant's rule entries and backplane units."""
+        S = self.base.switch.stages
+        for j, k in enumerate(record.stages):
+            self.state.remove_logical_nf(
+                record.sfc.nf_types[j] - 1, (k - 1) % S, record.sfc.rules[j]
+            )
+        self.state.release_backplane(record.backplane_units(S))
 
     def _reject(
         self, tenant_id: int, op: str, reason: str, detail: str, timer: Timer
@@ -378,47 +397,19 @@ class SfcController:
                 tenant_id, "admit", "duplicate-tenant",
                 f"tenant {tenant_id} already has a live chain", timer,
             )
-        with maybe_span(self.tracer, "controller.admission", tenant=tenant_id) as sp:
-            decision = check_admission(sfc, self.state, self.policy, len(self.tenants))
-            sp.set(ok=bool(decision))
-        if not decision:
-            return self._reject(
-                tenant_id, "admit", decision.reason, decision.detail, timer
-            )
-
-        snap = self.state.snapshot()
-        with maybe_span(self.tracer, "controller.placement", tenant=tenant_id) as sp:
-            stages = try_place_chain(self.state, sfc, self.base.virtual_stages)
-            sp.set(placed=stages is not None)
-        if stages is None:
-            return self._reject(
-                tenant_id, "admit", "no-feasible-placement",
-                "admission passed but no placement fits the residual resources",
-                timer,
-            )
-
-        if self.with_dataplane:
-            assert self.installer is not None
-            created: list[tuple[int, str]] = []
-            try:
-                self._ensure_physical(snap.physical, created)
-                self.installer.install(self._logical(sfc), stages)
-            except DataPlaneError as exc:
-                self._undo_physical(created)
-                self.state.restore(snap)
-                self.metrics.inc("installs_rolled_back")
-                return self._reject(
-                    tenant_id, "admit", "dataplane-rejected", str(exc), timer
-                )
-
-        self.tenants[tenant_id] = TenantRecord(sfc=sfc, stages=stages)
-        self._renormalize_backplane()
+        placed = self._place(
+            sfc, len(self.tenants), "admit", None, timer,
+            TransactionalInstaller.install,
+        )
+        if isinstance(placed, OpResult):
+            return placed
+        stages, _hitless = placed
+        self._set_record(tenant_id, TenantRecord(sfc=sfc, stages=stages))
         added = sum(
             rule_churn_by_stage(sfc, stages, self.base.switch.stages).values()
         )
         self.metrics.inc("admitted")
         self.metrics.inc("rules_inserted", added)
-        self._refresh_gauges()
         return OpResult(
             ok=True,
             tenant_id=tenant_id,
@@ -442,25 +433,21 @@ class SfcController:
         return result
 
     def _evict(self, tenant_id: int, timer: Timer) -> OpResult:
-        record = self.tenants.pop(tenant_id, None)
+        record = self.tenants.get(tenant_id)
         if record is None:
             return self._reject(
                 tenant_id, "evict", "unknown-tenant",
                 f"tenant {tenant_id} has no live chain", timer,
             )
         S = self.base.switch.stages
-        for j, k in enumerate(record.stages):
-            self.state.remove_logical_nf(
-                record.sfc.nf_types[j] - 1, (k - 1) % S, record.sfc.rules[j]
-            )
-        self._renormalize_backplane()
+        self._release(record)
+        self._set_record(tenant_id, None)
         if self.with_dataplane:
             assert self.installer is not None
             self.installer.evict(tenant_id)
         deleted = sum(rule_churn_by_stage(record.sfc, record.stages, S).values())
         self.metrics.inc("evicted")
         self.metrics.inc("rules_deleted", deleted)
-        self._refresh_gauges()
         return OpResult(
             ok=True,
             tenant_id=tenant_id,
@@ -497,51 +484,15 @@ class SfcController:
         new_sfc = replace(new_chain, tenant_id=tenant_id)
         snap = self.state.snapshot()
         S = self.base.switch.stages
-        for j, k in enumerate(record.stages):
-            self.state.remove_logical_nf(
-                record.sfc.nf_types[j] - 1, (k - 1) % S, record.sfc.rules[j]
-            )
-        old_passes = -(-record.stages[-1] // S)
-        self.state.release_backplane(old_passes * record.sfc.bandwidth_gbps)
-
-        with maybe_span(self.tracer, "controller.admission", tenant=tenant_id) as sp:
-            decision = check_admission(
-                new_sfc, self.state, self.policy, len(self.tenants) - 1
-            )
-            sp.set(ok=bool(decision))
-        if not decision:
-            self.state.restore(snap)
-            return self._reject(
-                tenant_id, "modify", decision.reason, decision.detail, timer
-            )
-        with maybe_span(self.tracer, "controller.placement", tenant=tenant_id) as sp:
-            stages = try_place_chain(self.state, new_sfc, self.base.virtual_stages)
-            sp.set(placed=stages is not None)
-        if stages is None:
-            self.state.restore(snap)
-            return self._reject(
-                tenant_id, "modify", "no-feasible-placement",
-                "new chain does not fit the residual resources", timer,
-            )
-
-        hitless = True
-        if self.with_dataplane:
-            assert self.installer is not None
-            created: list[tuple[int, str]] = []
-            try:
-                self._ensure_physical(snap.physical, created)
-                outcome = self.installer.replace(self._logical(new_sfc), stages)
-                hitless = outcome.hitless
-            except DataPlaneError as exc:
-                self._undo_physical(created)
-                self.state.restore(snap)
-                self.metrics.inc("installs_rolled_back")
-                return self._reject(
-                    tenant_id, "modify", "dataplane-rejected", str(exc), timer
-                )
-
-        self.tenants[tenant_id] = TenantRecord(sfc=new_sfc, stages=stages)
-        self._renormalize_backplane()
+        self._release(record)
+        placed = self._place(
+            new_sfc, len(self.tenants) - 1, "modify", snap, timer,
+            TransactionalInstaller.replace,
+        )
+        if isinstance(placed, OpResult):
+            return placed
+        stages, hitless = placed
+        self._set_record(tenant_id, TenantRecord(sfc=new_sfc, stages=stages))
         added = sum(rule_churn_by_stage(new_sfc, stages, S).values())
         deleted = sum(rule_churn_by_stage(record.sfc, record.stages, S).values())
         self.metrics.inc("modified")
@@ -549,7 +500,6 @@ class SfcController:
         self.metrics.inc("rules_deleted", deleted)
         if not hitless:
             self.metrics.inc("updates_break_before_make")
-        self._refresh_gauges()
         return OpResult(
             ok=True,
             tenant_id=tenant_id,
@@ -560,6 +510,54 @@ class SfcController:
             rules_deleted=deleted,
             latency_s=timer.elapsed_s,
         )
+
+    def _place(
+        self, sfc: SFC, live: int, op: str, snap, timer: Timer, step
+    ) -> tuple[tuple[int, ...], bool] | OpResult:
+        """Screen ``sfc`` (beside ``live`` other tenants), place it against
+        the residual resources, and put it on the data plane with ``step``
+        (``TransactionalInstaller.install`` or ``.replace``).  Returns
+        ``(stages, hitless)``, or the rejection after rolling the state
+        back to ``snap`` — the pre-event snapshot, or ``None`` to take one
+        once the screen passes (nothing has changed before it)."""
+        tenant_id = sfc.tenant_id
+        with maybe_span(self.tracer, "controller.admission", tenant=tenant_id) as sp:
+            decision = check_admission(sfc, self.state, self.policy, live)
+            sp.set(ok=bool(decision))
+        if not decision:
+            if snap is not None:
+                self.state.restore(snap)
+            return self._reject(
+                tenant_id, op, decision.reason, decision.detail, timer
+            )
+        if snap is None:
+            snap = self.state.snapshot()
+        with maybe_span(self.tracer, "controller.placement", tenant=tenant_id) as sp:
+            stages = try_place_chain(self.state, sfc, self.base.virtual_stages)
+            sp.set(placed=stages is not None)
+        if stages is None:
+            self.state.restore(snap)
+            return self._reject(
+                tenant_id, op, "no-feasible-placement",
+                "admission passed but no placement fits the residual resources",
+                timer,
+            )
+        hitless = True
+        if self.with_dataplane:
+            assert self.installer is not None
+            created: list[tuple[int, str]] = []
+            try:
+                self._ensure_physical(snap.physical, created)
+                outcome = step(self.installer, self._logical(sfc), stages)
+                hitless = outcome.hitless
+            except DataPlaneError as exc:
+                self._undo_physical(created)
+                self.state.restore(snap)
+                self.metrics.inc("installs_rolled_back")
+                return self._reject(
+                    tenant_id, op, "dataplane-rejected", str(exc), timer
+                )
+        return stages, hitless
 
     # ------------------------------------------------------------------
     # Batch conveniences
@@ -609,20 +607,20 @@ class SfcController:
                 f"tenant {sfc.tenant_id}: {sfc.length} NFs but "
                 f"{len(stages)} recorded stages"
             )
+        record = TenantRecord(sfc=sfc, stages=stages)
         prev_physical = self.state.physical.copy()
         S = self.base.switch.stages
         for j, k in enumerate(stages):
             self.state.add_logical_nf(
                 sfc.nf_types[j] - 1, (k - 1) % S, sfc.rules[j]
             )
+        self.state.add_backplane(record.backplane_units(S))
         if self.with_dataplane:
             assert self.installer is not None
             created: list[tuple[int, str]] = []
             self._ensure_physical(prev_physical, created)
             self.installer.install(self._logical(sfc), stages)
-        self.tenants[sfc.tenant_id] = TenantRecord(sfc=sfc, stages=stages)
-        self._renormalize_backplane()
-        self._refresh_gauges()
+        self._set_record(sfc.tenant_id, record)
 
     # ------------------------------------------------------------------
     # Drift-bounded reconfiguration
@@ -691,11 +689,11 @@ class SfcController:
                 self.installer.replace(self._logical(record.sfc), record.stages)
             self._sweep_stale_tables(reference.physical)
 
+        # Same tenants, same chains: the running objective is unchanged.
         self.tenants = survivors
         self.state = PipelineState.from_placement(
             reference, reserve_physical_block=self.reserve_physical_block
         )
-        self._renormalize_backplane()
         self.metrics.inc("reconfigurations")
         self.metrics.inc("rules_inserted", sum(added.values()))
         self.metrics.inc("rules_deleted", sum(deleted.values()))

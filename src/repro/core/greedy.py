@@ -87,11 +87,11 @@ def try_place_chain(
         stages.append(chosen)
         prev_k = chosen
 
-    passes = -(-stages[-1] // S)
-    if state.backplane_gbps + passes * sfc.bandwidth_gbps > state.switch.capacity_gbps + 1e-9:
+    demand = -(-stages[-1] // S) * sfc.bandwidth_units
+    if state.backplane_units + demand > state.switch.capacity_units:
         state.restore(snap)
         return None
-    state.add_backplane(passes * sfc.bandwidth_gbps)
+    state.add_backplane(demand)
     return tuple(stages)
 
 

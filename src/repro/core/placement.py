@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.core.spec import ProblemInstance
 from repro.errors import PlacementError
+from repro.units import units_to_gbps
 
 
 @dataclass(frozen=True)
@@ -129,13 +130,19 @@ class Placement:
         return sum(self.instance.sfcs[l].bandwidth_gbps for l in self.assignments)
 
     @property
-    def backplane_gbps(self) -> float:
+    def backplane_units(self) -> int:
         """Backplane bandwidth consumed, counting recirculation passes
-        (Eq. 12 LHS) — the "throughput" axis of the placement figures."""
+        (Eq. 12 LHS), in exact accounting units."""
         return sum(
-            self.passes(l) * self.instance.sfcs[l].bandwidth_gbps
+            self.passes(l) * self.instance.sfcs[l].bandwidth_units
             for l in self.assignments
         )
+
+    @property
+    def backplane_gbps(self) -> float:
+        """:attr:`backplane_units` in Gbps — the "throughput" axis of the
+        placement figures."""
+        return units_to_gbps(self.backplane_units)
 
     # ------------------------------------------------------------------
     # Memory metrics

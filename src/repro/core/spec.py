@@ -24,9 +24,11 @@ the paper's ``s_l = 0`` convention).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 
 from repro.errors import PlacementError
+from repro.units import gbps_to_units, units_to_gbps
 
 
 @dataclass(frozen=True)
@@ -75,10 +77,25 @@ def default_nf_catalog(count: int = 10) -> list[NFType]:
     ]
 
 
+def _ints(values, what: str, owner: str) -> tuple[int, ...]:
+    """``values`` as ints, refusing anything not already an integer (no
+    silent truncation of ``1.7`` to ``1``, no bools)."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise PlacementError(f"{owner}: {what} must be integers, got {v!r}")
+    return tuple(int(v) for v in values)
+
+
 @dataclass(frozen=True)
 class SFC:
     """A tenant's service function chain: ordered NF types with per-NF rule
     counts and a bandwidth demand (the tuple ``(T_l, [f_jl], [F_jl])``).
+
+    The demand is converted once, here, to whole accounting units
+    (:attr:`bandwidth_units`, see :mod:`repro.units`), and
+    ``bandwidth_gbps`` is normalized to that integer's Gbps reading.
+    Malformed input raises :class:`~repro.errors.PlacementError` before
+    any state sees it.
     """
 
     name: str
@@ -86,27 +103,40 @@ class SFC:
     rules: tuple[int, ...]
     bandwidth_gbps: float
     tenant_id: int = 0
+    #: ``T_l`` in whole accounting units — derived, never passed in.
+    bandwidth_units: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.nf_types) == 0:
-            raise PlacementError(f"SFC {self.name!r} has no NFs")
-        if len(self.nf_types) != len(self.rules):
+        owner = f"SFC {self.name!r}"
+        if not isinstance(self.name, str):
+            raise PlacementError(f"{owner}: name must be a string")
+        (tenant_id,) = _ints((self.tenant_id,), "tenant ids", owner)
+        nf_types = _ints(self.nf_types, "NF type ids", owner)
+        rules = _ints(self.rules, "rule counts", owner)
+        if len(nf_types) == 0:
+            raise PlacementError(f"{owner} has no NFs")
+        if len(nf_types) != len(rules):
             raise PlacementError(
-                f"SFC {self.name!r}: {len(self.nf_types)} NFs but "
-                f"{len(self.rules)} rule counts"
+                f"{owner}: {len(nf_types)} NFs but {len(rules)} rule counts"
             )
-        if any(t < 1 for t in self.nf_types):
-            raise PlacementError(f"SFC {self.name!r}: NF type ids are 1-based")
-        if any(r < 0 for r in self.rules):
-            raise PlacementError(f"SFC {self.name!r}: negative rule count")
-        if self.bandwidth_gbps <= 0:
+        if tenant_id < 0 or any(t < 1 for t in nf_types):
+            raise PlacementError(f"{owner}: ids are 0-based, NF types 1-based")
+        if any(r < 0 for r in rules):
+            raise PlacementError(f"{owner}: negative rule count")
+        bw = self.bandwidth_gbps
+        finite = not isinstance(bw, bool) and isinstance(bw, numbers.Real)
+        units = gbps_to_units(bw) if finite and math.isfinite(bw) else 0
+        if units < 1:
             raise PlacementError(
-                f"SFC {self.name!r}: bandwidth must be positive, "
-                f"got {self.bandwidth_gbps}"
+                f"{owner}: bandwidth must be finite and at least one 1 kbps "
+                f"unit, got {bw!r} Gbps"
             )
         # Dataclass is frozen; normalize via object.__setattr__.
-        object.__setattr__(self, "nf_types", tuple(int(t) for t in self.nf_types))
-        object.__setattr__(self, "rules", tuple(int(r) for r in self.rules))
+        object.__setattr__(self, "tenant_id", tenant_id)
+        object.__setattr__(self, "nf_types", nf_types)
+        object.__setattr__(self, "rules", rules)
+        object.__setattr__(self, "bandwidth_units", units)
+        object.__setattr__(self, "bandwidth_gbps", units_to_gbps(units))
 
     def to_dict(self) -> dict:
         """JSON-native form — the shape shared by churn traces
@@ -127,8 +157,8 @@ class SFC:
             name=record["name"],
             nf_types=tuple(record["nf_types"]),
             rules=tuple(record["rules"]),
-            bandwidth_gbps=float(record["bandwidth_gbps"]),
-            tenant_id=int(record["tenant_id"]),
+            bandwidth_gbps=record["bandwidth_gbps"],
+            tenant_id=record["tenant_id"],
         )
 
     @property
@@ -177,8 +207,13 @@ class SwitchSpec:
                 f"block size {self.block_bits} not a multiple of rule width "
                 f"{self.rule_bits}"
             )
-        if self.capacity_gbps <= 0:
-            raise PlacementError("capacity must be positive")
+        if not math.isfinite(self.capacity_gbps) or self.capacity_units < 1:
+            raise PlacementError("capacity must be positive and finite")
+
+    @property
+    def capacity_units(self) -> int:
+        """``C`` in whole accounting units (Eq. 12's right-hand side)."""
+        return gbps_to_units(self.capacity_gbps)
 
     @property
     def entries_per_block(self) -> int:

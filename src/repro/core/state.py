@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +28,7 @@ import numpy as np
 from repro.core.placement import NFAssignment, Placement
 from repro.core.spec import ProblemInstance
 from repro.errors import PlacementError
+from repro.units import gbps_to_units, units_to_gbps
 
 
 def stable_digest(payload: object) -> str:
@@ -46,7 +49,7 @@ class _Snapshot:
     nf_blocks: np.ndarray
     charged: np.ndarray
     stage_blocks: np.ndarray
-    backplane_gbps: float
+    backplane_units: int
 
 
 class LinkState:
@@ -54,54 +57,53 @@ class LinkState:
 
     The fabric orchestrator charges a link with the bandwidth of every
     stitched chain whose segments are split across its endpoints.  The
-    mechanism deliberately mirrors the switch-backplane accounting above
+    mechanism deliberately mirrors the switch-backplane accounting below
     (:meth:`PipelineState.add_backplane` / ``release_backplane``): same
-    commit/release pair, same capacity check with the same tolerance, so a
+    commit/release pair over exact integer units, same capacity check, so a
     link binds exactly the way Equation (12) binds a backplane — only the
     capacity constant differs.
     """
 
     def __init__(self, capacity_gbps: float) -> None:
-        if capacity_gbps <= 0:
+        if not (math.isfinite(capacity_gbps) and capacity_gbps > 0):
             raise PlacementError(
                 f"link capacity must be positive, got {capacity_gbps}"
             )
         self.capacity_gbps = float(capacity_gbps)
-        #: Gbps committed to chains stitched across this link.
-        self.load_gbps = 0.0
+        self.capacity_units = gbps_to_units(capacity_gbps)
+        #: Units committed to chains stitched across this link.
+        self.load_units = 0
 
     @property
-    def residual_gbps(self) -> float:
-        """Uncommitted link bandwidth."""
-        return self.capacity_gbps - self.load_gbps
+    def load_gbps(self) -> float:
+        """Committed load in Gbps (a view of :attr:`load_units`)."""
+        return units_to_gbps(self.load_units)
 
-    def fits(self, gbps: float) -> bool:
-        """Whether another ``gbps`` of stitched traffic fits this link."""
-        return self.load_gbps + gbps <= self.capacity_gbps + 1e-9
+    def fits(self, units: int) -> bool:
+        """Whether another ``units`` of stitched traffic fits this link."""
+        return self.load_units + units <= self.capacity_units
 
-    def add_load(self, gbps: float) -> None:
+    def add_load(self, units: int) -> None:
         """Commit stitched-chain bandwidth; raises beyond capacity."""
-        if not self.fits(gbps):
-            raise PlacementError(
-                f"link capacity exceeded: {self.load_gbps + gbps:.1f} "
-                f"> {self.capacity_gbps:.1f} Gbps"
-            )
-        self.load_gbps += gbps
+        units = operator.index(units)  # integers only: floats would drift
+        if not self.fits(units):
+            raise PlacementError(f"link capacity exceeded: {self!r} + {units}")
+        self.load_units += units
 
-    def release_load(self, gbps: float) -> None:
-        """Return stitched-chain bandwidth (tenant departure)."""
-        self.load_gbps = max(0.0, self.load_gbps - gbps)
+    def release_load(self, units: int) -> None:
+        """Return stitched-chain bandwidth (tenant departure); raises when
+        more is released than was committed."""
+        units = operator.index(units)
+        if units > self.load_units:
+            raise PlacementError(f"releasing {units} units from {self!r}")
+        self.load_units -= units
 
     def digest(self) -> str:
-        """Stable blake2b digest of the link's exact state.  The load float
-        is hashed via ``float.hex()``, so two digests are equal iff the
-        loads are bit-identical — what invariant checks and crash-recovery
-        acceptance compare instead of deep structures."""
+        """Stable blake2b digest of the link's exact integer state — what
+        invariant checks and crash-recovery acceptance compare instead of
+        deep structures."""
         return stable_digest(
-            {
-                "capacity_gbps": self.capacity_gbps.hex(),
-                "load_gbps": self.load_gbps.hex(),
-            }
+            {"capacity_units": self.capacity_units, "load_units": self.load_units}
         )
 
     def __repr__(self) -> str:
@@ -136,8 +138,14 @@ class PipelineState:
         self._charged = np.zeros((I, S), dtype=np.int64)
         #: Cached per-stage totals of ``_charged``.
         self._stage_blocks = np.zeros(S, dtype=np.int64)
-        #: Backplane Gbps in use, counting recirculation passes (Eq. 12 LHS).
-        self.backplane_gbps = 0.0
+        #: Backplane units in use, counting recirculation passes (Eq. 12
+        #: LHS) — an exact integer, so any add/release order sums alike.
+        self.backplane_units = 0
+
+    @property
+    def backplane_gbps(self) -> float:
+        """Backplane load in Gbps (a view of :attr:`backplane_units`)."""
+        return units_to_gbps(self.backplane_units)
 
     # ------------------------------------------------------------------
     # Physical layout access (kept cache-coherent)
@@ -248,27 +256,34 @@ class PipelineState:
             self._physical[i, s] = True
             self._refresh(i, s)
 
-    def add_backplane(self, gbps: float) -> None:
-        """Commit backplane bandwidth; raises beyond capacity (Eq. 12)."""
-        if self.backplane_gbps + gbps > self.switch.capacity_gbps + 1e-9:
+    def add_backplane(self, units: int) -> None:
+        """Commit backplane units; raises beyond capacity (Eq. 12)."""
+        units = operator.index(units)  # integers only: floats would drift
+        if self.backplane_units + units > self.switch.capacity_units:
             raise PlacementError(
-                f"backplane capacity exceeded: {self.backplane_gbps + gbps:.1f} "
+                f"backplane capacity exceeded: "
+                f"{units_to_gbps(self.backplane_units + units):.1f} "
                 f"> {self.switch.capacity_gbps:.1f} Gbps"
             )
-        self.backplane_gbps += gbps
+        self.backplane_units += units
 
-    def release_backplane(self, gbps: float) -> None:
-        """Return backplane bandwidth (tenant departure)."""
-        self.backplane_gbps = max(0.0, self.backplane_gbps - gbps)
+    def release_backplane(self, units: int) -> None:
+        """Return backplane units (tenant departure); raises when more is
+        released than was committed."""
+        units = operator.index(units)
+        if units > self.backplane_units:
+            raise PlacementError(f"releasing {units} of {self.backplane_units} units")
+        self.backplane_units -= units
 
     def digest(self) -> str:
         """Stable blake2b digest over the sorted snapshot of the full
         resource state (physical layout, entry/block matrices, backplane).
 
-        The backplane float is hashed via ``float.hex()``, so two digests
-        are equal iff the states are **bit-identical** — the controller's
-        churn invariant and the durability subsystem's recovery acceptance
-        compare this short hash instead of deep structures.
+        Every field is an exact integer (the backplane included), so two
+        digests are equal iff the states are **bit-identical** — the
+        controller's churn invariant and the durability subsystem's
+        recovery acceptance compare this short hash instead of deep
+        structures.
 
         The fields are hashed in a fixed sorted order over their raw array
         bytes (shape included) rather than through a JSON round-trip: the
@@ -276,7 +291,7 @@ class PipelineState:
         controller's hot path.
         """
         h = hashlib.blake2b(digest_size=16)
-        h.update(self.backplane_gbps.hex().encode("ascii"))
+        h.update(b"%d" % self.backplane_units)
         h.update(b"|%d%d|" % (self.consolidate, self.reserve_physical_block))
         for arr in (
             self.entries.astype(np.int64, copy=False),
@@ -298,7 +313,7 @@ class PipelineState:
             self.nf_blocks.copy(),
             self._charged.copy(),
             self._stage_blocks.copy(),
-            self.backplane_gbps,
+            self.backplane_units,
         )
 
     def restore(self, snap: _Snapshot) -> None:
@@ -308,7 +323,7 @@ class PipelineState:
         self.nf_blocks = snap.nf_blocks.copy()
         self._charged = snap.charged.copy()
         self._stage_blocks = snap.stage_blocks.copy()
-        self.backplane_gbps = snap.backplane_gbps
+        self.backplane_units = snap.backplane_units
 
     # ------------------------------------------------------------------
     # Conversions
@@ -334,7 +349,7 @@ class PipelineState:
                 state.nf_blocks[i, s] += placement.instance.switch.blocks_for_entries(
                     sfc.rules[j]
                 )
-            state.backplane_gbps += asg.passes(S) * sfc.bandwidth_gbps
+            state.backplane_units += asg.passes(S) * sfc.bandwidth_units
         state._recompute_all()
         return state
 

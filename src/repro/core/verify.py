@@ -73,10 +73,10 @@ def check_placement(
             f"{switch.blocks_per_stage} (memory constraint)"
         )
 
-    load = placement.backplane_gbps
-    if load > switch.capacity_gbps + 1e-9:
+    if placement.backplane_units > switch.capacity_units:
         problems.append(
-            f"backplane load {load:.1f} Gbps exceeds capacity "
+            f"backplane load {placement.backplane_gbps:.1f} Gbps exceeds "
+            f"capacity "
             f"{switch.capacity_gbps:.1f} Gbps (constraint 12)"
         )
     return problems

@@ -8,7 +8,10 @@ of arrivals and departures, not just the survivors), the fabric directory
 with its stitched segments and link charges, and the drained-switch set.
 Shapes are JSON-native with sorted keys (the same discipline as
 ``MetricsRegistry.snapshot``), carry the state digest they were taken at,
-and are CRC-protected on disk.
+and are CRC-protected on disk.  Restoring charges each tenant's own
+backplane and link share through the normal write paths (exact integer
+units, so no re-summing pass).  Checkpoints and manifests carry
+:data:`CHECKPOINT_VERSION`, checked on load.
 
 :class:`CheckpointStore` writes checkpoints atomically (tmp + rename +
 fsync), retains the most recent few, and skips corrupt files at load time.
@@ -40,7 +43,18 @@ if TYPE_CHECKING:  # import cycle: controller/fabric import this module's users
     from repro.fabric.orchestrator import FabricOrchestrator
 
 MANIFEST_NAME = "MANIFEST.json"
-CHECKPOINT_VERSION = 1
+#: Format version of checkpoints and manifests (2: integer-unit digests).
+CHECKPOINT_VERSION = 2
+
+
+def check_version(payload: dict, what: str) -> None:
+    """Refuse a checkpoint or manifest written under another format."""
+    found = payload.get("version")
+    if found != CHECKPOINT_VERSION:
+        raise DurabilityError(
+            f"{what} format version {found!r} is not supported "
+            f"(this build reads version {CHECKPOINT_VERSION})"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -72,10 +86,11 @@ def restore_controller(controller: "SfcController", checkpoint: dict) -> None:
     The physical layout is adopted wholesale (it includes NFs left installed
     by since-evicted tenants — part of the live state), every tenant is
     re-installed at its *recorded* stages through
-    :meth:`SfcController.restore_tenant`, and the backplane float is
-    renormalized in sorted-tenant order.  The result must match the
-    checkpoint's digest bit for bit, else the checkpoint is rejected.
+    :meth:`SfcController.restore_tenant`, which charges its backplane
+    share.  The result must match the checkpoint's digest bit for bit,
+    else the checkpoint is rejected.
     """
+    check_version(checkpoint, "checkpoint")
     if controller.tenants:
         raise DurabilityError("checkpoint restore needs a fresh controller")
     layout = np.asarray(checkpoint["physical"], dtype=bool)
@@ -87,8 +102,6 @@ def restore_controller(controller: "SfcController", checkpoint: dict) -> None:
         controller.restore_tenant(
             SFC.from_dict(entry["sfc"]), tuple(entry["stages"])
         )
-    controller._renormalize_backplane()
-    controller._refresh_gauges()
     digest = controller.state.digest()
     if digest != checkpoint["digest"]:
         raise DurabilityError(
@@ -138,10 +151,12 @@ def fabric_checkpoint(fabric: "FabricOrchestrator", lsn: int) -> dict:
 def restore_fabric(fabric: "FabricOrchestrator", checkpoint: dict) -> None:
     """Rebuild a freshly constructed fabric from a checkpoint: restore each
     shard's layout, re-install every directory segment at its recorded
-    stages, rebuild the directory and drained set, and renormalize link
-    loads.  Verified against the recorded per-shard and fabric digests."""
+    stages, and rebuild the directory (charging its link loads) and the
+    drained set.  Verified against the recorded per-shard and fabric
+    digests."""
     from repro.fabric.orchestrator import FabricTenant, Segment
 
+    check_version(checkpoint, "checkpoint")
     if fabric.tenants:
         raise DurabilityError("checkpoint restore needs a fresh fabric")
     for name, layout in checkpoint["physical"].items():
@@ -157,26 +172,17 @@ def restore_fabric(fabric: "FabricOrchestrator", checkpoint: dict) -> None:
         tenant_id = int(entry["tenant_id"])
         segments = []
         for seg in entry["segments"]:
-            seg_sfc = SFC.from_dict(seg["sfc"])
-            fabric.shards[seg["switch"]].restore_tenant(
-                seg_sfc, tuple(seg["stages"])
-            )
-            segments.append(
-                Segment(
-                    switch=seg["switch"],
-                    sfc=seg_sfc,
-                    start=int(seg["start"]),
-                    stop=int(seg["stop"]),
-                    stages=tuple(seg["stages"]),
-                )
-            )
-        fabric.tenants[tenant_id] = FabricTenant(
+            seg_sfc, stages = SFC.from_dict(seg["sfc"]), tuple(seg["stages"])
+            fabric.shards[seg["switch"]].restore_tenant(seg_sfc, stages)
+            segments.append(Segment(
+                seg["switch"], seg_sfc, int(seg["start"]), int(seg["stop"]), stages
+            ))
+        fabric._set_tenant(tenant_id, FabricTenant(
             sfc=SFC.from_dict(entry["sfc"]),
             segments=tuple(segments),
             links=tuple(tuple(key) for key in entry["links"]),
-        )
+        ))
     fabric.drained = set(checkpoint["drained"])
-    fabric._renormalize_links()
     fabric._refresh_gauges()
     for name, expected in checkpoint["shard_digests"].items():
         digest = fabric.shards[name].state.digest()
@@ -308,9 +314,11 @@ def read_manifest(directory: str | Path) -> dict:
     if not path.exists():
         raise DurabilityError(f"no {MANIFEST_NAME} in {directory}")
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        manifest = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise DurabilityError(f"corrupt manifest {path}: {exc}") from exc
+    check_version(manifest, f"manifest {path}")
+    return manifest
 
 
 def _switch_spec_dict(spec) -> dict:

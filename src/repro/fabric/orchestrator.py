@@ -20,10 +20,14 @@ and the orchestrator owns only what is genuinely *cross*-switch:
   zero tenant rules.
 
 The orchestrator inherits the controller's bookkeeping discipline: link
-loads are renormalized in sorted-tenant order after every event, so the
-incremental fabric state (per-switch arrays + backplane floats + link
-floats) stays **bit-identical** to a from-scratch recomputation —
+loads, like backplanes, are exact integer sums of whole bandwidth units
+(:mod:`repro.units`), so the incremental fabric state stays
+**bit-identical** to a from-scratch recomputation by construction —
 :meth:`check_invariant` asserts exactly that, per shard and per link.
+Every directory write goes through :meth:`_set_tenant`, which charges the
+link difference, keeps the stitched-tenant count as a running total, and
+marks the gauges the write touched; no lifecycle op walks the live
+tenants.
 
 **Concurrency.**  The fabric is safe to drive from the concurrent front
 end's shard workers (:mod:`repro.frontend.workers`).  Every shard has its
@@ -145,6 +149,11 @@ class DrainReport:
         )
 
 
+def _single(switch: str, sfc: SFC, result: OpResult) -> FabricTenant:
+    """The directory record of a chain placed whole on ``switch``."""
+    return FabricTenant(sfc, (Segment(switch, sfc, 0, sfc.length, result.stages),))
+
+
 class FabricOrchestrator:
     """Tenant lifecycle (admit / evict / modify / drain) over a switch
     cluster, one :class:`SfcController` shard per fabric switch."""
@@ -203,7 +212,14 @@ class FabricOrchestrator:
             for key, link in topology.links.items()
         }
         #: Fabric-level tenant directory (the only cross-switch state).
+        #: Written only through :meth:`_set_tenant`.
         self.tenants: dict[int, FabricTenant] = {}
+        #: Running count of stitched directory entries.
+        self._stitched = 0
+        #: Switches / links whose gauges a directory write touched since the
+        #: last :meth:`_refresh_gauges` (all of them, before the first).
+        self._dirty_switches: set[str] = set(topology.switch_names)
+        self._dirty_links: set[LinkKey] = set(topology.links)
         self.drained: set[str] = set()
         self.metrics = MetricsRegistry()
         # -- concurrency seams (see the module docstring) ----------------
@@ -312,9 +328,7 @@ class FabricOrchestrator:
             "switches": switches,
             "links": links,
             "tenants": len(self.tenants),
-            "stitched_tenants": sum(
-                1 for rec in self.tenants.values() if rec.stitched
-            ),
+            "stitched_tenants": self._stitched,
             "globalopt": {
                 "runs": int(counters.get("globalopt.runs", 0)),
                 "moves_planned": int(
@@ -385,21 +399,49 @@ class FabricOrchestrator:
             payload["digest"] = self.digest()
         self.durability.commit_op(self, op, payload)
 
+    def _set_tenant(self, tenant_id: int, record: FabricTenant | None) -> None:
+        """The one write path for the tenant directory: store ``record``
+        (``None`` drops the tenant), release the old record's link charges
+        and commit the new one's, move the running stitched count, and mark
+        every switch and link either record touches for the next gauge
+        refresh.  Exact integer units make the charge order irrelevant."""
+        with self._dir_lock:
+            old = self.tenants.get(tenant_id)
+            if old is not None:
+                for key in old.links:
+                    self.links[key].release_load(old.sfc.bandwidth_units)
+                self._stitched -= old.stitched
+                self._dirty_switches.update(old.switches)
+                self._dirty_links.update(old.links)
+            if record is None:
+                self.tenants.pop(tenant_id, None)
+                return
+            for key in record.links:
+                self.links[key].add_load(record.sfc.bandwidth_units)
+            self.tenants[tenant_id] = record
+            self._stitched += record.stitched
+            self._dirty_switches.update(record.switches)
+            self._dirty_links.update(record.links)
+
     def _refresh_gauges(self) -> None:
+        """Refresh the fleet gauges and those of every switch and link a
+        directory write touched since the last refresh — O(touched), read
+        from running totals."""
         with self._dir_lock:
             self.metrics.gauge("tenants").set(len(self.tenants))
-            self.metrics.gauge("stitched_tenants").set(
-                sum(1 for rec in self.tenants.values() if rec.stitched)
-            )
-            for name, shard in self.shards.items():
+            self.metrics.gauge("stitched_tenants").set(self._stitched)
+            for name in self._dirty_switches:
+                shard = self.shards[name]
                 self.metrics.gauge(f"backplane_gbps.{name}").set(
                     shard.state.backplane_gbps
                 )
                 self.metrics.gauge(f"tenants.{name}").set(len(shard.tenants))
-            for (a, b), link in self.links.items():
+            for a, b in self._dirty_links:
                 self.metrics.gauge(f"link_load_gbps.{a}-{b}").set(
-                    link.load_gbps
+                    self.links[(a, b)].load_gbps
                 )
+            self._dirty_switches.clear()
+            self._dirty_links.clear()
 
     def promote(self, epoch: int, durability=None) -> list[str]:
         """Promote-from-replica entry point: flip a standby-replayed fabric
@@ -433,20 +475,6 @@ class FabricOrchestrator:
             )
         return problems
 
-    def _renormalize_links(self) -> None:
-        """Recompute every link's load in sorted-tenant order — the exact
-        accumulation a from-scratch recomputation over the directory uses,
-        so incremental link floats stay bit-identical to it (the fabric
-        analogue of the controller's backplane renormalization)."""
-        with self._dir_lock:
-            loads = {key: 0.0 for key in self.links}
-            for tenant_id in sorted(self.tenants):
-                record = self.tenants[tenant_id]
-                for key in record.links:
-                    loads[key] += record.sfc.bandwidth_gbps
-            for key, total in loads.items():
-                self.links[key].load_gbps = total
-
     def _observe_admit(self, switch: str, result: OpResult) -> None:
         self.metrics.observe(f"admit_latency_s.{switch}", result.latency_s)
 
@@ -466,28 +494,11 @@ class FabricOrchestrator:
         if not tail_res.ok:
             self.shards[plan.head_switch].evict(sfc.tenant_id)
             return None
-        self.links[plan.link].add_load(sfc.bandwidth_gbps)
-        self.tenants[sfc.tenant_id] = FabricTenant(
-            sfc=sfc,
-            segments=(
-                Segment(
-                    switch=plan.head_switch,
-                    sfc=plan.head,
-                    start=0,
-                    stop=plan.split,
-                    stages=head_res.stages,
-                ),
-                Segment(
-                    switch=plan.tail_switch,
-                    sfc=plan.tail,
-                    start=plan.split,
-                    stop=sfc.length,
-                    stages=tail_res.stages,
-                ),
-            ),
-            links=(plan.link,),
+        head = Segment(plan.head_switch, plan.head, 0, plan.split, head_res.stages)
+        tail = Segment(
+            plan.tail_switch, plan.tail, plan.split, sfc.length, tail_res.stages
         )
-        self._renormalize_links()
+        self._set_tenant(sfc.tenant_id, FabricTenant(sfc, (head, tail), (plan.link,)))
         self.metrics.inc("stitched")
         return FabricOpResult(
             ok=True,
@@ -511,33 +522,9 @@ class FabricOrchestrator:
             )
         last: OpResult | None = None
         for rank, name in enumerate(order):
-            result = self.shards[name].admit(sfc)
-            self._observe_admit(name, result)
-            if result.ok:
-                self.tenants[sfc.tenant_id] = FabricTenant(
-                    sfc=sfc,
-                    segments=(
-                        Segment(
-                            switch=name,
-                            sfc=sfc,
-                            start=0,
-                            stop=sfc.length,
-                            stages=result.stages,
-                        ),
-                    ),
-                )
-                if rank:
-                    self.metrics.inc("spillovers")
-                return FabricOpResult(
-                    ok=True,
-                    tenant_id=sfc.tenant_id,
-                    op=op,
-                    switches=(name,),
-                    spillover=rank,
-                    rules_added=result.rules_added,
-                    latency_s=timer.elapsed_s,
-                )
-            last = result
+            placed, last = self._admit_on(name, sfc, op, rank, timer)
+            if placed is not None:
+                return placed
         plan = plan_stitch(self, sfc, order)
         if plan is not None:
             stitched = self._commit_stitch(sfc, plan, op, order, timer)
@@ -550,20 +537,40 @@ class FabricOrchestrator:
             f"{last.detail}", timer,
         )
 
+    def _admit_on(
+        self, name: str, sfc: SFC, op: str, rank: int, timer: Timer
+    ) -> tuple[FabricOpResult | None, OpResult]:
+        """Offer the whole chain to shard ``name`` (preference ``rank``);
+        on success record it in the directory.  Returns the fabric result
+        (``None`` = refused) and the shard's own result."""
+        result = self.shards[name].admit(sfc)
+        self._observe_admit(name, result)
+        if not result.ok:
+            return None, result
+        self._set_tenant(sfc.tenant_id, _single(name, sfc, result))
+        if rank:
+            self.metrics.inc("spillovers")
+        return FabricOpResult(
+            ok=True,
+            tenant_id=sfc.tenant_id,
+            op=op,
+            switches=(name,),
+            spillover=rank,
+            rules_added=result.rules_added,
+            latency_s=timer.elapsed_s,
+        ), result
+
     def _remove(self, tenant_id: int) -> tuple[FabricTenant, int]:
         """Evict every segment of a directory tenant and release its link
         charges; returns the removed record and the rule-churn total.
         Caller holds the lock of every shard the tenant touches."""
         with self._dir_lock:
-            record = self.tenants.pop(tenant_id)
+            record = self.tenants[tenant_id]
+            self._set_tenant(tenant_id, None)
         deleted = 0
         for seg in record.segments:
             result = self.shards[seg.switch].evict(tenant_id)
             deleted += result.rules_deleted
-        with self._dir_lock:
-            for key in record.links:
-                self.links[key].release_load(record.sfc.bandwidth_gbps)
-            self._renormalize_links()
         return record, deleted
 
     # ------------------------------------------------------------------
@@ -618,6 +625,10 @@ class FabricOrchestrator:
                 tenant_id, "evict", "unknown-tenant",
                 f"tenant {tenant_id} has no live chain", timer,
             )
+        return self._evicted(tenant_id, timer)
+
+    def _evicted(self, tenant_id: int, timer: Timer) -> FabricOpResult:
+        """Remove a live directory tenant and report the eviction."""
         record, deleted = self._remove(tenant_id)
         self.metrics.inc("evicted")
         self._refresh_gauges()
@@ -673,32 +684,9 @@ class FabricOrchestrator:
         new_sfc = replace(new_chain, tenant_id=tenant_id)
         if not record.stitched:
             home = record.segments[0].switch
-            result = self.shards[home].modify(tenant_id, new_sfc)
-            if result.ok:
-                self.tenants[tenant_id] = FabricTenant(
-                    sfc=new_sfc,
-                    segments=(
-                        Segment(
-                            switch=home,
-                            sfc=new_sfc,
-                            start=0,
-                            stop=new_sfc.length,
-                            stages=result.stages,
-                        ),
-                    ),
-                )
-                self.metrics.inc("modified")
-                self._refresh_gauges()
-                return FabricOpResult(
-                    ok=True,
-                    tenant_id=tenant_id,
-                    op="modify",
-                    switches=(home,),
-                    hitless=result.hitless,
-                    rules_added=result.rules_added,
-                    rules_deleted=result.rules_deleted,
-                    latency_s=timer.elapsed_s,
-                )
+            result = self._modify_home(tenant_id, home, new_sfc, timer)
+            if result is not None:
+                return result
         old_record, deleted = self._remove(tenant_id)
         placed = self._place(new_sfc, "modify", timer)
         if placed.ok:
@@ -715,6 +703,28 @@ class FabricOrchestrator:
             self.metrics.inc("modify_restore_failed")
         self._refresh_gauges()
         return placed
+
+    def _modify_home(
+        self, tenant_id: int, home: str, new_sfc: SFC, timer: Timer
+    ) -> FabricOpResult | None:
+        """Hitless in-place modify of a single-homed tenant on its home
+        shard; ``None`` when the shard refuses."""
+        result = self.shards[home].modify(tenant_id, new_sfc)
+        if not result.ok:
+            return None
+        self._set_tenant(tenant_id, _single(home, new_sfc, result))
+        self.metrics.inc("modified")
+        self._refresh_gauges()
+        return FabricOpResult(
+            ok=True,
+            tenant_id=tenant_id,
+            op="modify",
+            switches=(home,),
+            hitless=result.hitless,
+            rules_added=result.rules_added,
+            rules_deleted=result.rules_deleted,
+            latency_s=timer.elapsed_s,
+        )
 
     # ------------------------------------------------------------------
     # Drain / failover
@@ -814,9 +824,7 @@ class FabricOrchestrator:
         )
         if ops - self._last_reopt_ops < min_interval_ops:
             return None
-        with self._dir_lock:
-            stitched = sum(1 for r in self.tenants.values() if r.stitched)
-        if stitched < min_stitched:
+        if self._stitched < min_stitched:
             self._last_reopt_ops = ops
             return None
         return self.reoptimize(**kwargs)
@@ -879,34 +887,12 @@ class FabricOrchestrator:
                 if drained:
                     span.set(escalated=True)
                     return None
-                shard_res = self.shards[switch].admit(sfc)
-                self._observe_admit(switch, shard_res)
-                if not shard_res.ok:
+                result, _ = self._admit_on(switch, sfc, "admit", 0, timer)
+                if result is None:
                     span.set(escalated=True)
                     return None
-                with self._dir_lock:
-                    self.tenants[sfc.tenant_id] = FabricTenant(
-                        sfc=sfc,
-                        segments=(
-                            Segment(
-                                switch=switch,
-                                sfc=sfc,
-                                start=0,
-                                stop=sfc.length,
-                                stages=shard_res.stages,
-                            ),
-                        ),
-                    )
-                    self.metrics.inc("admitted")
-                    self._refresh_gauges()
-                result = FabricOpResult(
-                    ok=True,
-                    tenant_id=sfc.tenant_id,
-                    op="admit",
-                    switches=(switch,),
-                    rules_added=shard_res.rules_added,
-                    latency_s=timer.elapsed_s,
-                )
+                self.metrics.inc("admitted")
+                self._refresh_gauges()
                 span.set(ok=True, switches=[switch], stitched=False)
             self._record_op(result)
             self._commit_durable(
@@ -919,51 +905,14 @@ class FabricOrchestrator:
         Decides unknown tenants (rejection) and single-homed tenants
         locally; returns ``None`` for stitched tenants, which touch two
         shards and a link and must go through :meth:`evict`."""
-        with self._dir_lock:
-            record = self.tenants.get(tenant_id)
-        if record is None:
+        with self._home_locked(tenant_id, "evict") as (home, rejected):
+            if home is None:
+                return rejected
             with maybe_span(
                 self.tracer, "fabric.evict", tenant=tenant_id
             ) as span, self.metrics.timer("op_latency_s.evict") as timer:
-                result = self._reject(
-                    tenant_id, "evict", "unknown-tenant",
-                    f"tenant {tenant_id} has no live chain", timer,
-                )
-                span.set(ok=False, switches=[])
-            self._record_op(result)
-            return result
-        if record.stitched:
-            return None
-        home = record.segments[0].switch
-        with self._shard_locks[home]:
-            # Revalidate under the lock: a cross-shard op (drain is keyed
-            # by switch, so the queue does not serialize it against this
-            # tenant's intents) may have re-homed or evicted the tenant
-            # between routing and locking.  Mutating through a stale home
-            # lock would race the real home's worker, so escalate instead.
-            with self._dir_lock:
-                record = self.tenants.get(tenant_id)
-            if (
-                record is None
-                or record.stitched
-                or record.segments[0].switch != home
-            ):
-                return None
-            with maybe_span(
-                self.tracer, "fabric.evict", tenant=tenant_id
-            ) as span, self.metrics.timer("op_latency_s.evict") as timer:
-                record, deleted = self._remove(tenant_id)
-                self.metrics.inc("evicted")
-                self._refresh_gauges()
-                result = FabricOpResult(
-                    ok=True,
-                    tenant_id=tenant_id,
-                    op="evict",
-                    switches=record.switches,
-                    rules_deleted=deleted,
-                    latency_s=timer.elapsed_s,
-                )
-                span.set(ok=True, switches=list(record.switches))
+                result = self._evicted(tenant_id, timer)
+                span.set(ok=True, switches=list(result.switches))
             self._record_op(result)
             self._commit_durable("evict", {"tenant_id": tenant_id})
         return result
@@ -976,67 +925,18 @@ class FabricOrchestrator:
         ``None`` for stitched tenants or when the home shard refuses the
         in-place swap — re-homing evicts and re-routes, so it must go
         through :meth:`modify`."""
-        with self._dir_lock:
-            record = self.tenants.get(tenant_id)
-        if record is None:
-            with maybe_span(
-                self.tracer, "fabric.modify", tenant=tenant_id
-            ) as span, self.metrics.timer("op_latency_s.modify") as timer:
-                result = self._reject(
-                    tenant_id, "modify", "unknown-tenant",
-                    f"tenant {tenant_id} has no live chain", timer,
-                )
-                span.set(ok=False, hitless=True)
-            self._record_op(result)
-            return result
-        if record.stitched:
-            return None
-        home = record.segments[0].switch
-        with self._shard_locks[home]:
-            # Same revalidation as evict_local: a concurrent drain may
-            # have moved or evicted the tenant while we routed here.
-            with self._dir_lock:
-                record = self.tenants.get(tenant_id)
-            if (
-                record is None
-                or record.stitched
-                or record.segments[0].switch != home
-            ):
-                return None
+        with self._home_locked(tenant_id, "modify") as (home, rejected):
+            if home is None:
+                return rejected
             with maybe_span(
                 self.tracer, "fabric.modify", tenant=tenant_id
             ) as span, self.metrics.timer("op_latency_s.modify") as timer:
                 new_sfc = replace(new_chain, tenant_id=tenant_id)
-                shard_res = self.shards[home].modify(tenant_id, new_sfc)
-                if not shard_res.ok:
+                result = self._modify_home(tenant_id, home, new_sfc, timer)
+                if result is None:
                     span.set(escalated=True)
                     return None
-                with self._dir_lock:
-                    self.tenants[tenant_id] = FabricTenant(
-                        sfc=new_sfc,
-                        segments=(
-                            Segment(
-                                switch=home,
-                                sfc=new_sfc,
-                                start=0,
-                                stop=new_sfc.length,
-                                stages=shard_res.stages,
-                            ),
-                        ),
-                    )
-                    self.metrics.inc("modified")
-                    self._refresh_gauges()
-                result = FabricOpResult(
-                    ok=True,
-                    tenant_id=tenant_id,
-                    op="modify",
-                    switches=(home,),
-                    hitless=shard_res.hitless,
-                    rules_added=shard_res.rules_added,
-                    rules_deleted=shard_res.rules_deleted,
-                    latency_s=timer.elapsed_s,
-                )
-                span.set(ok=True, hitless=shard_res.hitless)
+                span.set(ok=True, hitless=result.hitless)
             self._record_op(result)
             self._commit_durable(
                 "modify",
@@ -1047,6 +947,45 @@ class FabricOrchestrator:
                 },
             )
         return result
+
+    @contextmanager
+    def _home_locked(self, tenant_id: int, op: str):
+        """Hold the home-shard lock of a single-homed ``tenant_id`` and
+        yield ``(home, None)``.  Yields ``(None, rejection)`` for an
+        unknown tenant (decided locally) and ``(None, None)`` when the
+        caller must escalate: the tenant is stitched, or it moved or left
+        between routing and locking — a cross-shard op (drain is keyed by
+        switch, so the queue does not serialize it against this tenant's
+        intents) may re-home or evict it, and mutating through a stale
+        home lock would race the real home's worker, so the record is
+        revalidated under the lock."""
+        with self._dir_lock:
+            record = self.tenants.get(tenant_id)
+        if record is None:
+            with maybe_span(
+                self.tracer, f"fabric.{op}", tenant=tenant_id
+            ) as span, self.metrics.timer(f"op_latency_s.{op}") as timer:
+                rejected = self._reject(
+                    tenant_id, op, "unknown-tenant",
+                    f"tenant {tenant_id} has no live chain", timer,
+                )
+                span.set(ok=False)
+            self._record_op(rejected)
+            yield None, rejected
+            return
+        if record.stitched:
+            yield None, None
+            return
+        home = record.segments[0].switch
+        with self._shard_locks[home]:
+            with self._dir_lock:
+                record = self.tenants.get(tenant_id)
+            moved = (
+                record is None
+                or record.stitched
+                or record.segments[0].switch != home
+            )
+            yield (None if moved else home), None
 
     # ------------------------------------------------------------------
     # Verification
@@ -1087,8 +1026,9 @@ class FabricOrchestrator:
         Per shard: the incremental :class:`PipelineState` must be
         bit-identical to :meth:`PipelineState.from_placement` over that
         shard's surviving tenants.  Per link: the incremental load must
-        equal the sorted-tenant-order sum over the directory.  Plus
-        directory/shard cross-consistency and empty drained shards.
+        equal the sum over the directory, and the running stitched count
+        the directory's.  Plus directory/shard cross-consistency and empty
+        drained shards.
         Returns human-readable problem strings (empty = invariant holds);
         any problem snaps the flight recorder so the run-up to the drift is
         preserved alongside the findings.
@@ -1109,10 +1049,10 @@ class FabricOrchestrator:
             for s in range(shard.base.switch.stages):
                 if shard.state.blocks_at_stage(s) != reference.blocks_at_stage(s):
                     problems.append(f"{name}: stage {s} block total drifted")
-            if shard.state.backplane_gbps != reference.backplane_gbps:
+            if shard.state.backplane_units != reference.backplane_units:
                 problems.append(
-                    f"{name}: backplane {shard.state.backplane_gbps!r} != "
-                    f"recomputed {reference.backplane_gbps!r}"
+                    f"{name}: backplane {shard.state.backplane_units} != "
+                    f"recomputed {reference.backplane_units} units"
                 )
             if shard.state.digest() != reference.digest():
                 problems.append(
@@ -1137,18 +1077,23 @@ class FabricOrchestrator:
                         f"tenant {tenant_id}: segment on {seg.switch} does "
                         f"not match the shard's record"
                     )
-        expected_loads = {key: 0.0 for key in self.links}
+        expected_loads = {key: 0 for key in self.links}
         for tenant_id in sorted(self.tenants):
             record = self.tenants[tenant_id]
             for key in record.links:
-                expected_loads[key] += record.sfc.bandwidth_gbps
+                expected_loads[key] += record.sfc.bandwidth_units
         for key in sorted(self.links):
-            if self.links[key].load_gbps != expected_loads[key]:
+            if self.links[key].load_units != expected_loads[key]:
                 problems.append(
-                    f"link {key}: load {self.links[key].load_gbps!r} != "
-                    f"recomputed {expected_loads[key]!r} "
+                    f"link {key}: load {self.links[key].load_units} != "
+                    f"recomputed {expected_loads[key]} units "
                     f"(digest {self.links[key].digest()})"
                 )
+        stitched = sum(1 for record in self.tenants.values() if record.stitched)
+        if self._stitched != stitched:
+            problems.append(
+                f"stitched count {self._stitched} != directory {stitched}"
+            )
         for name in sorted(self.drained):
             shard = self.shards[name]
             if shard.tenants or shard.state.entries.sum() != 0:

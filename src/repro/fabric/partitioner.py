@@ -103,7 +103,9 @@ class LeastBackplanePartitioner:
         """Active switches sorted by ascending backplane utilization."""
         def utilization(name: str) -> float:
             shard = fabric.shards[name]
-            return shard.state.backplane_gbps / shard.base.switch.capacity_gbps
+            return (
+                shard.state.backplane_units / shard.base.switch.capacity_units
+            )
 
         return sorted(fabric.active_switches, key=lambda n: (utilization(n), n))
 

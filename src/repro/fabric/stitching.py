@@ -109,7 +109,7 @@ def plan_stitch(
                 link = fabric.topology.link_between(head_switch, tail_switch)
                 if link is None:
                     continue
-                if not fabric.links[link.key].fits(sfc.bandwidth_gbps):
+                if not fabric.links[link.key].fits(sfc.bandwidth_units):
                     continue
                 if fabric.shards[tail_switch].can_host(tail):
                     return StitchPlan(

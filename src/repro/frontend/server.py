@@ -44,7 +44,13 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.core.spec import SFC
-from repro.errors import FencedError, FrontendError, QueueFullError, ReproError
+from repro.errors import (
+    FencedError,
+    FrontendError,
+    PlacementError,
+    QueueFullError,
+    ReproError,
+)
 from repro.fabric.orchestrator import FabricOrchestrator
 from repro.frontend.client import result_to_dict
 from repro.frontend.queue import Intent, IntentQueue
@@ -261,7 +267,7 @@ class _Handler(BaseHTTPRequestHandler):
             raise FrontendError('body needs an "sfc" object')
         try:
             return SFC.from_dict(record)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, PlacementError) as exc:
             raise FrontendError(f"bad sfc: {exc}") from None
 
     def do_GET(self) -> None:  # noqa: N802 — stdlib handler contract

@@ -8,10 +8,11 @@ fabric transaction under the fabric-wide lock:
    admitted fresh (old segments untouched); switches in both placements
    swap in place through the shard's own two-phase hitless ``modify``;
    segments that are byte-identical on both sides are left alone.
-2. **Flip** the fabric directory to the new segments and link path and
-   renormalize link loads (the accounting cut-over is atomic: loads are
-   recomputed from the directory, so old and new links are never charged
-   simultaneously).
+2. **Flip** the fabric directory to the new segments and link path
+   through the fabric's one directory write path, which releases the old
+   path's link charge and commits the new one's in exact integer units
+   (the accounting cut-over is atomic under the directory lock, so old
+   and new links are never charged simultaneously).
 3. **Probe** the *new* placement end to end (``probe_tenant``) while the
    old segments are still installed — zero tenant-visible downtime means
    the new path must forward before the old one is torn down.
@@ -30,7 +31,7 @@ fabric is left exactly as the last committed step journaled it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from repro.core.state import stable_digest
@@ -140,7 +141,7 @@ def execute_step(
         )
         if same_layout:
             return StepResult(tenant_id, "skipped", "no-op")
-        bw = record.sfc.bandwidth_gbps
+        bw = record.sfc.bandwidth_units
         for key in target.links:
             if key not in old_links and not fabric.links[key].fits(bw):
                 return StepResult(tenant_id, "skipped", "no-link-capacity")
@@ -166,22 +167,11 @@ def execute_step(
                     else:  # pragma: no cover - resources were just freed
                         fabric.metrics.inc("globalopt.rollback_failed")
             if restored:
-                with fabric._dir_lock:
-                    fabric.tenants[tenant_id] = FabricTenant(
-                        sfc=record.sfc,
-                        segments=tuple(
-                            Segment(
-                                switch=seg.switch,
-                                sfc=seg.sfc,
-                                start=seg.start,
-                                stop=seg.stop,
-                                stages=restored.get(seg.switch, seg.stages),
-                            )
-                            for seg in old_segments
-                        ),
-                        links=old_links,
-                    )
-                    fabric._renormalize_links()
+                segments = tuple(
+                    replace(seg, stages=restored.get(seg.switch, seg.stages))
+                    for seg in old_segments
+                )
+                fabric._set_tenant(tenant_id, replace(record, segments=segments))
 
         new_segments: list[Segment] = []
         for switch, seg_sfc, start, stop in desired:
@@ -195,44 +185,25 @@ def execute_step(
                 continue
             if old_seg is not None:
                 res = fabric.shards[switch].modify(tenant_id, seg_sfc)
-                if not res.ok:
-                    rollback()
-                    fabric.metrics.inc("globalopt.moves_failed")
-                    return StepResult(
-                        tenant_id, "failed",
-                        f"shard {switch} refused modify: {res.reason}",
-                        latency_s=time.perf_counter() - t0,
-                    )
-                undo.append(("modify", switch, old_seg.sfc))
+                step = ("modify", switch, old_seg.sfc)
             else:
                 res = fabric.shards[switch].admit(seg_sfc)
-                if not res.ok:
-                    rollback()
-                    fabric.metrics.inc("globalopt.moves_failed")
-                    return StepResult(
-                        tenant_id, "failed",
-                        f"shard {switch} refused admit: {res.reason}",
-                        latency_s=time.perf_counter() - t0,
-                    )
-                undo.append(("admit", switch, None))
-            assert res.stages is not None
-            new_segments.append(
-                Segment(
-                    switch=switch,
-                    sfc=seg_sfc,
-                    start=start,
-                    stop=stop,
-                    stages=res.stages,
+                step = ("admit", switch, None)
+            if not res.ok:
+                rollback()
+                fabric.metrics.inc("globalopt.moves_failed")
+                return StepResult(
+                    tenant_id, "failed",
+                    f"shard {switch} refused {step[0]}: {res.reason}",
+                    latency_s=time.perf_counter() - t0,
                 )
-            )
+            undo.append(step)
+            assert res.stages is not None
+            new_segments.append(Segment(switch, seg_sfc, start, stop, res.stages))
 
-        with fabric._dir_lock:
-            fabric.tenants[tenant_id] = FabricTenant(
-                sfc=record.sfc,
-                segments=tuple(new_segments),
-                links=target.links,
-            )
-            fabric._renormalize_links()
+        fabric._set_tenant(
+            tenant_id, FabricTenant(record.sfc, tuple(new_segments), target.links)
+        )
 
         probed = False
         if probe:
@@ -241,9 +212,7 @@ def execute_step(
                 # New path does not forward: restore the directory, then
                 # unwind the shard mutations — the old placement was never
                 # torn down, so the tenant never lost service.
-                with fabric._dir_lock:
-                    fabric.tenants[tenant_id] = record
-                    fabric._renormalize_links()
+                fabric._set_tenant(tenant_id, record)
                 rollback()
                 fabric.metrics.inc("globalopt.moves_failed")
                 return StepResult(

@@ -3,7 +3,7 @@
 :func:`snapshot_fabric` freezes a live :class:`~repro.fabric.orchestrator.
 FabricOrchestrator` into pure data the solver can search over without
 touching any shard: per-switch headroom (SRAM blocks, virtual stages,
-backplane Gbps), per-link residual bandwidth, and one
+backplane units), per-link residual bandwidth, and one
 :class:`TenantFootprint` per live tenant (chain shape, rule counts,
 bandwidth, current placement).
 
@@ -12,9 +12,10 @@ accounting variant — ``ceil(total_rules / entries_per_block)`` per segment
 under consolidation (same-type rules share blocks, so a segment's marginal
 cost is near its pooled-rule charge), the per-NF ``ceil(rules /
 entries_per_block)`` sum without it — and backplane demand is
-``ceil(L / S) * bw`` (the fold-minimal pass count).  Baselines are exact —
-:meth:`Usage.from_current` starts from the shards' *actual* occupancy —
-but the per-tenant estimates do not capture cross-tenant sharing or the
+``ceil(L / S) * bw`` (the fold-minimal pass count), in the same exact
+integer bandwidth units the shards account in (:mod:`repro.units`).
+Baselines are exact — :meth:`Usage.from_current` starts from the shards'
+*actual* occupancy — but the per-tenant estimates do not capture cross-tenant sharing or the
 physical-block reserve, and they do not need to: the migration executor
 re-validates every step against the *real* shards with transactional
 rollback, so a mis-estimate can only cost a skipped or rolled-back move,
@@ -49,10 +50,6 @@ from repro.fabric.topology import LinkKey, link_key
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.fabric.orchestrator import FabricOrchestrator
 
-#: Float slack for capacity comparisons (mirrors ``LinkState.fits``).
-EPS = 1e-9
-
-
 @dataclass(frozen=True)
 class SwitchModel:
     """One switch's static capacities, as the solver sees them."""
@@ -62,7 +59,8 @@ class SwitchModel:
     virtual_stages: int
     total_blocks: int
     entries_per_block: int
-    capacity_gbps: float
+    #: Backplane capacity ``C`` in accounting units.
+    capacity_units: int
     drained: bool = False
     #: Whether the shard consolidates same-type rules into shared blocks
     #: (selects the matching demand estimate in ``blocks_needed``).
@@ -72,7 +70,7 @@ class SwitchModel:
     #: headroom reflects cross-tenant block sharing the per-tenant
     #: advisory estimates cannot see.
     used_blocks: int = 0
-    used_backplane_gbps: float = 0.0
+    used_backplane_units: int = 0
 
 
 @dataclass(frozen=True)
@@ -82,7 +80,8 @@ class TenantFootprint:
     tenant_id: int
     nf_types: tuple[int, ...]
     rules: tuple[int, ...]
-    bandwidth_gbps: float
+    #: Demand ``T_l`` in accounting units.
+    bandwidth_units: int
     #: Digest of the full chain at snapshot time; the executor uses it to
     #: detect a chain that changed between planning and execution.
     sfc_digest: str = ""
@@ -200,10 +199,12 @@ class FabricModel:
     switches: dict[str, SwitchModel]
     tenants: dict[int, TenantFootprint]
     current: dict[int, TenantPlan]
-    link_capacity: dict[LinkKey, float]
+    #: Per-link capacity in accounting units.
+    link_capacity: dict[LinkKey, int]
     adjacency: dict[str, tuple[str, ...]]
-    #: Actual per-link load at snapshot time (``Usage.from_current`` seed).
-    link_load: dict[LinkKey, float] = field(default_factory=dict)
+    #: Actual per-link load in units at snapshot time (the
+    #: ``Usage.from_current`` seed).
+    link_load: dict[LinkKey, int] = field(default_factory=dict)
 
     @property
     def active(self) -> list[str]:
@@ -225,8 +226,8 @@ class FabricModel:
         """Pipeline passes a ``length``-NF segment needs on ``switch``."""
         return math.ceil(length / self.switches[switch].stages)
 
-    def backplane_needed(self, foot_slice_len: int, bw: float, switch: str) -> float:
-        """Backplane Gbps a segment consumes: passes x tenant bandwidth."""
+    def backplane_needed(self, foot_slice_len: int, bw: int, switch: str) -> int:
+        """Backplane units a segment consumes: passes x tenant bandwidth."""
         return self.passes_needed(foot_slice_len, switch) * bw
 
     def fits_stages(self, length: int, switch: str) -> bool:
@@ -270,11 +271,9 @@ class Usage:
     def __init__(self, model: FabricModel) -> None:
         self.model = model
         self.blocks: dict[str, int] = {name: 0 for name in model.switches}
-        self.backplane: dict[str, float] = {
-            name: 0.0 for name in model.switches
-        }
-        self.link_load: dict[LinkKey, float] = {
-            key: 0.0 for key in model.link_capacity
+        self.backplane: dict[str, int] = {name: 0 for name in model.switches}
+        self.link_load: dict[LinkKey, int] = {
+            key: 0 for key in model.link_capacity
         }
         self.occupants: dict[str, dict[int, frozenset[int]]] = {
             name: {} for name in model.switches
@@ -287,9 +286,9 @@ class Usage:
         usage = cls(model)
         for name, sw in model.switches.items():
             usage.blocks[name] = sw.used_blocks
-            usage.backplane[name] = sw.used_backplane_gbps
+            usage.backplane[name] = sw.used_backplane_units
         for key in usage.link_load:
-            usage.link_load[key] = model.link_load.get(key, 0.0)
+            usage.link_load[key] = model.link_load.get(key, 0)
         for tenant_id in sorted(model.current):
             plan = model.current[tenant_id]
             for switch, nf_types, _rules, _length in model.plan_demands(plan):
@@ -315,11 +314,11 @@ class Usage:
         for switch, nf_types, rules, length in self.model.plan_demands(plan):
             self.blocks[switch] += self.model.blocks_needed(rules, switch)
             self.backplane[switch] += self.model.backplane_needed(
-                length, foot.bandwidth_gbps, switch
+                length, foot.bandwidth_units, switch
             )
             self.occupants[switch][plan.tenant_id] = frozenset(nf_types)
         for key in plan.links:
-            self.link_load[key] += foot.bandwidth_gbps
+            self.link_load[key] += foot.bandwidth_units
 
     def release(self, plan: TenantPlan) -> None:
         """Return ``plan``'s blocks/backplane/link demand to the pool."""
@@ -327,11 +326,11 @@ class Usage:
         for switch, nf_types, rules, length in self.model.plan_demands(plan):
             self.blocks[switch] -= self.model.blocks_needed(rules, switch)
             self.backplane[switch] -= self.model.backplane_needed(
-                length, foot.bandwidth_gbps, switch
+                length, foot.bandwidth_units, switch
             )
             self.occupants[switch].pop(plan.tenant_id, None)
         for key in plan.links:
-            self.link_load[key] -= foot.bandwidth_gbps
+            self.link_load[key] -= foot.bandwidth_units
 
     # -- feasibility -------------------------------------------------
     def segment_fits(
@@ -357,18 +356,15 @@ class Usage:
         ):
             return False
         demand = self.model.backplane_needed(
-            length, foot.bandwidth_gbps, switch
+            length, foot.bandwidth_units, switch
         )
-        if self.backplane[switch] + demand > sw.capacity_gbps + EPS:
+        if self.backplane[switch] + demand > sw.capacity_units:
             return False
         return constraints.switch_ok(foot, nf_types, self.occupants[switch])
 
-    def link_fits(self, key: LinkKey, bw: float) -> bool:
-        """Whether ``bw`` more Gbps fits on link ``key``."""
-        return (
-            self.link_load[key] + bw
-            <= self.model.link_capacity[key] + EPS
-        )
+    def link_fits(self, key: LinkKey, bw: int) -> bool:
+        """Whether ``bw`` more units fit on link ``key``."""
+        return self.link_load[key] + bw <= self.model.link_capacity[key]
 
     def plan_fits(self, plan: TenantPlan, constraints: ConstraintSet) -> bool:
         """Whether every segment and link of ``plan`` fits right now."""
@@ -379,13 +375,13 @@ class Usage:
             ):
                 return False
         return all(
-            self.link_fits(key, foot.bandwidth_gbps) for key in plan.links
+            self.link_fits(key, foot.bandwidth_units) for key in plan.links
         )
 
     def utilization(self, switch: str) -> float:
         """Backplane utilization fraction (the balance term's currency)."""
         sw = self.model.switches[switch]
-        return self.backplane[switch] / sw.capacity_gbps if sw.capacity_gbps else 0.0
+        return self.backplane[switch] / sw.capacity_units if sw.capacity_units else 0.0
 
 
 def route(
@@ -393,10 +389,10 @@ def route(
     usage: Usage,
     src: str,
     dst: str,
-    bw: float,
+    bw: int,
 ) -> tuple[LinkKey, ...] | None:
     """SFC-constrained shortest path from ``src`` to ``dst``: fewest hops
-    over links with residual bandwidth for ``bw``, deterministic (sorted
+    over links with residual bandwidth for ``bw`` units, deterministic (sorted
     neighbor order) so replans are reproducible.  Returns the path's link
     keys, or ``None`` when no feasible path exists."""
     if src == dst:
@@ -454,13 +450,13 @@ def snapshot_fabric(fabric: "FabricOrchestrator") -> FabricModel:
             virtual_stages=shard.base.virtual_stages,
             total_blocks=spec.stages * spec.blocks_per_stage,
             entries_per_block=spec.entries_per_block,
-            capacity_gbps=spec.capacity_gbps,
+            capacity_units=spec.capacity_units,
             drained=name in fabric.drained,
             consolidated=shard.consolidate,
             used_blocks=sum(
                 shard.state.blocks_at_stage(s) for s in range(spec.stages)
             ),
-            used_backplane_gbps=shard.state.backplane_gbps,
+            used_backplane_units=shard.state.backplane_units,
         )
     tenants = {}
     current = {}
@@ -471,7 +467,7 @@ def snapshot_fabric(fabric: "FabricOrchestrator") -> FabricModel:
             tenant_id=tenant_id,
             nf_types=tuple(sfc.nf_types),
             rules=tuple(sfc.rules),
-            bandwidth_gbps=sfc.bandwidth_gbps,
+            bandwidth_units=sfc.bandwidth_units,
             sfc_digest=stable_digest(sfc.to_dict()),
         )
         current[tenant_id] = current_plan(record)
@@ -484,11 +480,11 @@ def snapshot_fabric(fabric: "FabricOrchestrator") -> FabricModel:
         tenants=tenants,
         current=current,
         link_capacity={
-            key: link.capacity_gbps for key, link in fabric.links.items()
+            key: link.capacity_units for key, link in fabric.links.items()
         },
         adjacency=adjacency,
         link_load={
-            key: link.load_gbps for key, link in fabric.links.items()
+            key: link.load_units for key, link in fabric.links.items()
         },
     )
 

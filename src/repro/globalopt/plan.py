@@ -156,7 +156,7 @@ def _transient_fits(
             old_rules, old_len = old_on[switch]
             trial.blocks[switch] -= model.blocks_needed(old_rules, switch)
             trial.backplane[switch] -= model.backplane_needed(
-                old_len, foot.bandwidth_gbps, switch
+                old_len, foot.bandwidth_units, switch
             )
         if not trial.segment_fits(
             foot, switch, nf_types, rules, length, constraints
@@ -164,11 +164,11 @@ def _transient_fits(
             return False
         trial.blocks[switch] += model.blocks_needed(rules, switch)
         trial.backplane[switch] += model.backplane_needed(
-            length, foot.bandwidth_gbps, switch
+            length, foot.bandwidth_units, switch
         )
     old_links = set(step.current.links)
     return all(
-        trial.link_fits(key, foot.bandwidth_gbps)
+        trial.link_fits(key, foot.bandwidth_units)
         for key in step.target.links
         if key not in old_links
     )

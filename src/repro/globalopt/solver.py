@@ -41,9 +41,6 @@ import time
 from dataclasses import dataclass, field
 
 from repro.fabric.stitching import split_points
-
-#: Division guard for zero-capacity switches in the balance term.
-EPS_CAP = 1e-9
 from repro.globalopt.model import (
     ConstraintSet,
     FabricModel,
@@ -52,6 +49,7 @@ from repro.globalopt.model import (
     Usage,
     route,
 )
+from repro.units import units_to_gbps
 
 #: Above these sizes the ILP's pairwise cuts and knapsack rows stop being
 #: worth the solve time; ``mode="auto"`` switches to the greedy repack.
@@ -82,7 +80,7 @@ class GlobalSolution:
 def _footprint_weight(foot: TenantFootprint) -> tuple:
     """FFD sort key: heaviest tenants place first (descending rules, then
     bandwidth), tenant id as the deterministic tiebreak."""
-    return (-foot.total_rules, -foot.bandwidth_gbps, foot.tenant_id)
+    return (-foot.total_rules, -foot.bandwidth_units, foot.tenant_id)
 
 
 def _single_candidates(
@@ -160,7 +158,7 @@ def _stitch_candidates(
                     constraints,
                 ):
                     continue
-                path = route(model, usage, head, tail, foot.bandwidth_gbps)
+                path = route(model, usage, head, tail, foot.bandwidth_units)
                 if path is None:
                     continue
                 return TenantPlan(
@@ -262,7 +260,7 @@ def _balance_pass(
                 and cold not in constraints.forbidden(tid)
                 and not constraints.must_split(model.tenants[tid])
             ),
-            key=lambda tid: (-model.tenants[tid].bandwidth_gbps, tid),
+            key=lambda tid: (-model.tenants[tid].bandwidth_units, tid),
         )
         best = None
         before = spread()
@@ -329,9 +327,9 @@ def solve_ilp(
             if model.blocks_needed(foot.rules, name) > sw.total_blocks:
                 continue
             bp = model.backplane_needed(
-                foot.length, foot.bandwidth_gbps, name
+                foot.length, foot.bandwidth_units, name
             )
-            if bp > sw.capacity_gbps:
+            if bp > sw.capacity_units:
                 continue
             feasible.append(name)
         if not feasible:
@@ -371,12 +369,14 @@ def solve_ilp(
             )
             m.add_constr(
                 lin_sum(
-                    model.backplane_needed(f.length, f.bandwidth_gbps, name)
+                    units_to_gbps(
+                        model.backplane_needed(f.length, f.bandwidth_units, name)
+                    )
                     * x[(f.tenant_id, name)]
                     for f in assigned
                     if (f.tenant_id, name) in x
                 )
-                <= sw.capacity_gbps,
+                <= units_to_gbps(sw.capacity_units),
                 name=f"backplane_{name}",
             )
     # Pairwise anti-affinity cuts (tenant separation + NF-type pairs).
@@ -425,8 +425,8 @@ def solve_ilp(
                 else 1.0
             )
             balance = 0.001 * (
-                model.backplane_needed(foot.length, foot.bandwidth_gbps, name)
-                / max(model.switches[name].capacity_gbps, EPS_CAP)
+                model.backplane_needed(foot.length, foot.bandwidth_units, name)
+                / max(model.switches[name].capacity_units, 1)
             )
             terms.append((move_cost + balance) * x[(foot.tenant_id, name)])
     m.set_objective(lin_sum(terms), sense=Objective.MINIMIZE)

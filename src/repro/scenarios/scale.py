@@ -8,14 +8,16 @@ for million-tenant capacity sweeps.  :class:`ScaleFabric` keeps only what
 placement *decisions* need, in numpy columns:
 
 * per switch: free blocks per stage (int), installed-physical-NF bitmap,
-  committed backplane Gbps (float);
+  committed backplane in integer accounting units (int64);
 * per tenant: home-switch index, per-stage block charge, recirculation
-  passes, bandwidth — ~30 bytes/tenant at S=4.
+  passes, bandwidth units — ~30 bytes/tenant at S=4.
 
 Its admit path replicates the greedy walk of
 :func:`repro.core.greedy.try_place_chain` **operation for operation**
 (same scan order, same lookahead bound, same physical-NF preference, same
-``+1e-9`` backplane tolerance) under the accounting mode
+exact integer backplane check, bandwidth converted to units by the same
+:func:`~repro.units.gbps_to_units` as :class:`~repro.core.spec.SFC`)
+under the accounting mode
 ``consolidate=False, reserve_physical_block=False`` — in that mode a
 logical NF's block charge is exactly ``blocks_for_entries(rules)``
 independent of co-located NFs, so per-stage *totals* suffice and per-(type,
@@ -28,9 +30,9 @@ against a real fabric, admit by admit.
 Lazy/aggregated accounting: the fabric never materializes per-tenant SFC
 objects during a fill (:func:`synthesize_fill` draws the whole workload
 into flat arrays), and :meth:`ScaleFabric.check` audits the aggregate
-state — per-stage block totals recomputed exactly from live tenants,
-backplane recomputed to float tolerance — the scale-mode analogue of the
-fabric bit-identity invariant.
+state — per-stage block totals and backplane units recomputed exactly
+from live tenants — the scale-mode analogue of the fabric bit-identity
+invariant.
 """
 
 from __future__ import annotations
@@ -45,13 +47,15 @@ from repro.errors import ScenarioError
 from repro.rng import make_rng
 from repro.traffic.distributions import lognormal_bandwidth
 from repro.traffic.workload import WorkloadConfig
+from repro.units import UNITS_PER_GBPS, gbps_to_units, units_to_gbps
 
 
 @dataclass
 class FillArrays:
     """A whole fill workload as flat arrays (no per-tenant objects):
     ``types``/``rules`` are ``(n, max_len)`` with row ``i`` valid up to
-    ``lengths[i]``."""
+    ``lengths[i]``; ``bandwidths`` (Gbps) lie on the accounting-unit grid,
+    exactly as an :class:`SFC` built from them would normalize them."""
 
     lengths: np.ndarray
     types: np.ndarray
@@ -80,14 +84,11 @@ def synthesize_fill(
     workload: WorkloadConfig,
     num_tenants: int,
     rng: int | np.random.Generator | None = None,
-    grid_bandwidth: bool = False,
 ) -> FillArrays:
     """Draw ``num_tenants`` chains as flat arrays — the vectorized twin of
     :func:`~repro.traffic.workload.make_sfcs` (same recipe: uniform
     lengths, types sampled without replacement, uniform rules, long-tail
-    bandwidth).  ``grid_bandwidth=True`` snaps demands to a 0.5 Gbps grid
-    so every bandwidth sum is exact in floating point regardless of
-    accumulation order — the mode differential tests use."""
+    bandwidth rounded to whole accounting units)."""
     rng = make_rng(rng)
     lo = workload.avg_chain_length - workload.chain_length_spread
     hi = workload.avg_chain_length + workload.chain_length_spread
@@ -99,17 +100,15 @@ def synthesize_fill(
     rules = rng.integers(
         workload.rules_min, workload.rules_max + 1, size=(num_tenants, hi)
     ).astype(np.int32)
-    if grid_bandwidth:
-        bandwidths = 0.5 * rng.integers(1, 9, size=num_tenants).astype(np.float64)
-    else:
-        bandwidths = lognormal_bandwidth(
-            rng,
-            num_tenants,
-            mean_gbps=workload.mean_bandwidth_gbps,
-            sigma=workload.bandwidth_sigma,
-            min_gbps=workload.min_bandwidth_gbps,
-            max_gbps=workload.max_bandwidth_gbps,
-        )
+    bandwidths = lognormal_bandwidth(
+        rng,
+        num_tenants,
+        mean_gbps=workload.mean_bandwidth_gbps,
+        sigma=workload.bandwidth_sigma,
+        min_gbps=workload.min_bandwidth_gbps,
+        max_gbps=workload.max_bandwidth_gbps,
+    )
+    bandwidths = np.rint(bandwidths * UNITS_PER_GBPS) / UNITS_PER_GBPS
     return FillArrays(
         lengths=lengths, types=types, rules=rules, bandwidths=bandwidths
     )
@@ -148,19 +147,19 @@ class ScaleFabric:
         self.S = S
         self.K = S * (max_recirculations + 1)
         self._epb = self.switch.entries_per_block
-        self._capacity = self.switch.capacity_gbps
+        self._capacity = self.switch.capacity_units
         #: Free SRAM blocks per (switch, stage).
         self.stage_free = np.full((n, S), self.switch.blocks_per_stage, np.int64)
         #: Installed physical NFs per (switch, type, stage).
         self.physical = np.zeros((n, num_types, S), bool)
-        #: Committed backplane Gbps per switch.
-        self.used_bw = np.zeros(n, np.float64)
+        #: Committed backplane units per switch.
+        self.used_units = np.zeros(n, np.int64)
         # Per-tenant columns, grown geometrically; switch -1 = not live.
         cap = max(16, capacity_hint)
         self._t_switch = np.full(cap, -1, np.int32)
         self._t_blocks = np.zeros((cap, S), np.uint16)
         self._t_passes = np.zeros(cap, np.uint8)
-        self._t_bw = np.zeros(cap, np.float64)
+        self._t_units = np.zeros(cap, np.int64)
         self.live_tenants = 0
         self.admitted = 0
         self.rejected = 0
@@ -176,7 +175,7 @@ class ScaleFabric:
             ("_t_switch", -1),
             ("_t_blocks", 0),
             ("_t_passes", 0),
-            ("_t_bw", 0.0),
+            ("_t_units", 0),
         ):
             old = getattr(self, name)
             shape = (new,) + old.shape[1:]
@@ -188,12 +187,12 @@ class ScaleFabric:
         return -(-int(rules) // self._epb)
 
     def _try_place(
-        self, sw: int, types, rules, bandwidth: float
+        self, sw: int, types, rules, units: int
     ) -> tuple[list[int], int] | None:
         """The greedy walk of :func:`try_place_chain`, verbatim: nearest
         next stage with the physical NF installed first, nearest next
         installable stage second, suffix-lookahead bound, rollback on
-        failure, Eq. 12 backplane check with the same 1e-9 tolerance."""
+        failure, the same exact Eq. 12 backplane check."""
         S, K = self.S, self.K
         free = self.stage_free[sw]
         phys = self.physical[sw]
@@ -230,10 +229,7 @@ class ScaleFabric:
         passes = 0
         if not failed:
             passes = -(-chosen_ks[-1] // S)
-            if (
-                self.used_bw[sw] + passes * bandwidth
-                > self._capacity + 1e-9
-            ):
+            if self.used_units[sw] + passes * units > self._capacity:
                 failed = True
         if failed:
             for s, need, i, was in reversed(undo):
@@ -248,6 +244,7 @@ class ScaleFabric:
     ) -> tuple[bool, int, str | None]:
         """Admit one chain: modulo-preferred switch first, spillover in
         ring order.  Returns ``(ok, spillover_rank, reject_reason)``."""
+        units = gbps_to_units(bandwidth_gbps)
         self._grow(tenant_id)
         if self._t_switch[tenant_id] >= 0:
             self.rejected += 1
@@ -262,18 +259,18 @@ class ScaleFabric:
         start = tenant_id % n
         for rank in range(n):
             sw = (start + rank) % n
-            placed = self._try_place(sw, types, rules, bandwidth_gbps)
+            placed = self._try_place(sw, types, rules, units)
             if placed is None:
                 continue
             chosen_ks, passes = placed
-            self.used_bw[sw] += passes * bandwidth_gbps
+            self.used_units[sw] += passes * units
             row_blocks = self._t_blocks[tenant_id]
             row_blocks[:] = 0
             for j, k in enumerate(chosen_ks):
                 row_blocks[(k - 1) % self.S] += self._blocks_for(int(rules[j]))
             self._t_switch[tenant_id] = sw
             self._t_passes[tenant_id] = passes
-            self._t_bw[tenant_id] = bandwidth_gbps
+            self._t_units[tenant_id] = units
             self.live_tenants += 1
             self.admitted += 1
             if rank:
@@ -289,8 +286,8 @@ class ScaleFabric:
             return False
         sw = int(self._t_switch[tenant_id])
         self.stage_free[sw] += self._t_blocks[tenant_id].astype(np.int64)
-        self.used_bw[sw] -= int(self._t_passes[tenant_id]) * float(
-            self._t_bw[tenant_id]
+        self.used_units[sw] -= int(self._t_passes[tenant_id]) * int(
+            self._t_units[tenant_id]
         )
         self._t_switch[tenant_id] = -1
         self._t_blocks[tenant_id] = 0
@@ -299,32 +296,30 @@ class ScaleFabric:
 
     # ------------------------------------------------------------------
     def check(self) -> list[str]:
-        """Aggregated invariant audit: per-stage free-block totals must
-        equal an exact integer recomputation over live tenants, backplane
-        loads a float recomputation (1e-6 Gbps tolerance), and the live
-        counter the column scan.  Empty list = state is consistent."""
+        """Aggregated invariant audit: per-stage free-block totals and
+        backplane units must equal an exact integer recomputation over live
+        tenants, and the live counter the column scan.  Empty list = state
+        is consistent."""
         problems: list[str] = []
         n = len(self.switch_names)
         live = self._t_switch >= 0
         expected_free = np.full(
             (n, self.S), self.switch.blocks_per_stage, np.int64
         )
-        expected_bw = np.zeros(n, np.float64)
+        expected_units = np.zeros(n, np.int64)
         for row in np.flatnonzero(live):
             sw = int(self._t_switch[row])
             expected_free[sw] -= self._t_blocks[row]
-            expected_bw[sw] += int(self._t_passes[row]) * float(self._t_bw[row])
+            expected_units[sw] += int(self._t_passes[row]) * int(self._t_units[row])
         if not np.array_equal(expected_free, self.stage_free):
             bad = np.argwhere(expected_free != self.stage_free)
             problems.append(
                 f"stage free-block totals drifted at (switch, stage) "
                 f"{bad[:4].tolist()}"
             )
-        drift = np.abs(expected_bw - self.used_bw)
-        if drift.max(initial=0.0) > 1e-6:
-            problems.append(
-                f"backplane drifted by up to {drift.max():.3g} Gbps"
-            )
+        if not np.array_equal(expected_units, self.used_units):
+            bad = np.flatnonzero(expected_units != self.used_units)
+            problems.append(f"backplane units drifted on switches {bad.tolist()}")
         if int(live.sum()) != self.live_tenants:
             problems.append(
                 f"live counter {self.live_tenants} != column scan "
@@ -343,7 +338,7 @@ class ScaleFabric:
             "admitted": self.admitted,
             "rejected": self.rejected,
             "spillovers": self.spillovers,
-            "backplane_gbps": [float(b) for b in self.used_bw],
+            "backplane_gbps": [units_to_gbps(int(u)) for u in self.used_units],
             "free_blocks": self.stage_free.sum(axis=1).tolist(),
         }
 

@@ -4,7 +4,12 @@ The paper mixes several unit systems (Gbps backplane speed, bits of rule
 width, SRAM blocks, nanoseconds of latency).  This module pins down the
 conventions used across the library so numbers never silently change scale:
 
-* bandwidth / throughput — **Gbps** (float)
+* bandwidth / throughput — **Gbps** (float) at every interface; resource
+  *accounting* (backplane load, link load, capacities) counts whole
+  1 kbps units (int; :data:`UNITS_PER_GBPS` per Gbps).  :class:`~repro.core.spec.SFC`
+  converts its demand with :func:`gbps_to_units` once, when it is built,
+  and every total is an exact integer sum — correct in any order tenants
+  arrive and depart in.  ``*_gbps`` readings are views of those integers.
 * rule width ``b`` and block size ``E`` — **bits** (int)
 * memory — **blocks** (int) and **entries** (int)
 * latency — **nanoseconds** (float)
@@ -16,6 +21,11 @@ from __future__ import annotations
 GBPS = 1.0e9          # bits per second in one Gbps
 NS_PER_S = 1.0e9      # nanoseconds per second
 BITS_PER_BYTE = 8
+
+#: Bandwidth accounting units per Gbps: one unit is 1 kbps.  Demands are
+#: rounded to the nearest whole unit; a demand that rounds to zero is
+#: rejected.
+UNITS_PER_GBPS = 1_000_000
 
 #: Ethernet framing overhead per packet on the wire: preamble (7B) + SFD (1B)
 #: + inter-packet gap (12B).  The FCS is already part of the quoted frame
@@ -47,6 +57,18 @@ def pps_to_gbps(pps: float, packet_bytes: int, *, include_overhead: bool = True)
         raise ValueError(f"packet_bytes must be positive, got {packet_bytes}")
     wire_bytes = packet_bytes + (ETHERNET_OVERHEAD_BYTES if include_overhead else 0)
     return pps * wire_bytes * BITS_PER_BYTE / GBPS
+
+
+def gbps_to_units(gbps: float) -> int:
+    """Round a Gbps figure to the nearest whole accounting unit — the one
+    conversion from float bandwidth into integer accounting."""
+    return round(gbps * UNITS_PER_GBPS)
+
+
+def units_to_gbps(units: int) -> float:
+    """The Gbps reading of an integer unit count (exact inverse of
+    :func:`gbps_to_units` on the unit grid)."""
+    return units / UNITS_PER_GBPS
 
 
 def mpps(pps: float) -> float:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.controller.admission import AdmissionPolicy, check_admission
 from repro.core.state import PipelineState
+from repro.units import gbps_to_units
 
 from tests.controller.conftest import chain
 
@@ -45,7 +46,7 @@ def test_unknown_nf_type(state):
 
 
 def test_backplane_exhausted(state):
-    state.add_backplane(99.5)
+    state.add_backplane(gbps_to_units(99.5))
     decision = check_admission(chain(1, bandwidth_gbps=1.0), state)
     assert decision.reason == "backplane-exhausted"
     # Disabling the check lets it through (the solver would still fail).
@@ -55,7 +56,7 @@ def test_backplane_exhausted(state):
 
 def test_backplane_counts_minimum_passes(state):
     # A 4-NF chain on a 3-stage switch needs >= 2 passes, so 2x bandwidth.
-    state.add_backplane(100.0 - 45.0)
+    state.add_backplane(gbps_to_units(100.0 - 45.0))
     one_pass = chain(1, nf_types=(1, 2, 3), rules=(1, 1, 1), bandwidth_gbps=40.0)
     two_pass = chain(2, nf_types=(1, 2, 3, 1), rules=(1, 1, 1, 1), bandwidth_gbps=40.0)
     assert check_admission(one_pass, state).admitted

@@ -83,7 +83,7 @@ def test_modify_failure_keeps_old_chain(controller):
     assert not result.ok and result.reason == "memory-exhausted"
     assert controller.tenants[1].sfc.rules == (10, 10, 10)
     assert np.array_equal(controller.state.entries, before.entries)
-    assert controller.state.backplane_gbps == before.backplane_gbps
+    assert controller.state.backplane_units == before.backplane_units
     assert_state_matches_recompute(controller)
 
 

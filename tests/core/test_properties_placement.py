@@ -131,7 +131,7 @@ def test_state_survives_random_churn(instance, seed):
                     sfc.rules[j],
                 )
             state.release_backplane(
-                -(-stages[-1] // instance.switch.stages) * sfc.bandwidth_gbps
+                -(-stages[-1] // instance.switch.stages) * sfc.bandwidth_units
             )
         else:
             l = int(rng.integers(instance.num_sfcs))
@@ -142,7 +142,7 @@ def test_state_survives_random_churn(instance, seed):
                 placed.append((l, stages))
         # Invariants after every operation:
         assert (state.entries >= 0).all()
-        assert state.backplane_gbps >= -1e-9
+        assert state.backplane_units >= 0
         for s in range(instance.switch.stages):
             assert 0 <= state.blocks_at_stage(s) <= instance.switch.blocks_per_stage
 

@@ -5,7 +5,7 @@ The controller's try-then-commit pattern (and the fabric's read-only
 ``add_backplane`` / ``release_backplane`` / ``add_logical_nf`` /
 ``remove_logical_nf`` happens after a snapshot, ``restore`` brings the state
 back **bit-identically** — arrays, cached block charges, and the backplane
-float all exact, with no aliasing between the snapshot and the live state.
+units all exact, with no aliasing between the snapshot and the live state.
 """
 
 import numpy as np
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core.spec import ProblemInstance, SwitchSpec
 from repro.core.state import PipelineState
+from repro.units import gbps_to_units
 
 
 @st.composite
@@ -65,11 +66,12 @@ def apply_script(state: PipelineState, instance: ProblemInstance, ops, placed):
                 i, s, rules = placed.pop(raw % len(placed))
                 state.remove_logical_nf(i, s, rules)
         elif kind == "add_bp":
-            gbps = 0.1 + (raw % 400) / 10.0
-            if state.backplane_gbps + gbps <= instance.switch.capacity_gbps:
-                state.add_backplane(gbps)
+            units = gbps_to_units(0.1 + (raw % 400) / 10.0)
+            if state.backplane_units + units <= instance.switch.capacity_units:
+                state.add_backplane(units)
         else:
-            state.release_backplane((raw % 400) / 10.0)
+            units = gbps_to_units((raw % 400) / 10.0)
+            state.release_backplane(min(units, state.backplane_units))
 
 
 def capture(state: PipelineState, instance: ProblemInstance):
@@ -79,7 +81,7 @@ def capture(state: PipelineState, instance: ProblemInstance):
         state.nf_blocks.copy(),
         [state.blocks_at_stage(s) for s in range(instance.switch.stages)],
         [state.free_blocks(s) for s in range(instance.switch.stages)],
-        state.backplane_gbps,
+        state.backplane_units,
     )
 
 
@@ -91,7 +93,7 @@ def assert_matches(state: PipelineState, instance: ProblemInstance, cap):
     for s in range(instance.switch.stages):
         assert state.blocks_at_stage(s) == stage_blocks[s]
         assert state.free_blocks(s) == free[s]
-    assert state.backplane_gbps == backplane  # exact, not approx
+    assert state.backplane_units == backplane  # exact, not approx
 
 
 COMMON = dict(

@@ -52,6 +52,28 @@ class TestSFC:
         with pytest.raises(PlacementError):
             SFC(name="s", nf_types=(1,), rules=(10,), bandwidth_gbps=0.0)
 
+    def test_bandwidth_converts_once_to_whole_units(self):
+        sfc = SFC(name="s", nf_types=(1,), rules=(1,), bandwidth_gbps=1.23456789)
+        assert sfc.bandwidth_units == 1_234_568  # 1 kbps units, rounded
+        assert sfc.bandwidth_gbps == 1.234568  # the view of those units
+        assert SFC.from_dict(sfc.to_dict()) == sfc
+        assert SFC.from_dict(sfc.to_dict()).bandwidth_units == 1_234_568
+
+    @pytest.mark.parametrize(
+        "bandwidth", [float("nan"), float("inf"), -1.0, 1e-12, "5", True]
+    )
+    def test_non_finite_or_sub_unit_bandwidth_rejected(self, bandwidth):
+        with pytest.raises(PlacementError):
+            SFC(name="s", nf_types=(1,), rules=(10,), bandwidth_gbps=bandwidth)
+
+    def test_non_integral_fields_rejected_not_truncated(self):
+        with pytest.raises(PlacementError):
+            SFC(name="s", nf_types=(1.7, 2), rules=(1, 1), bandwidth_gbps=1.0)
+        with pytest.raises(PlacementError):
+            SFC(name="s", nf_types=(1,), rules=(10.5,), bandwidth_gbps=1.0)
+        with pytest.raises(PlacementError):
+            SFC(name=["x"], nf_types=(1,), rules=(1,), bandwidth_gbps=1.0)
+
     def test_zero_based_type_rejected(self):
         with pytest.raises(PlacementError):
             SFC(name="s", nf_types=(0,), rules=(10,), bandwidth_gbps=1.0)

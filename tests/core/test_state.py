@@ -6,6 +6,7 @@ import pytest
 from repro.core.placement import NFAssignment
 from repro.core.state import PipelineState
 from repro.errors import PlacementError
+from repro.units import gbps_to_units
 
 
 @pytest.fixture()
@@ -96,20 +97,25 @@ def test_remove_more_than_present_rejected(state):
 
 
 def test_backplane_accounting(state):
-    state.add_backplane(60.0)
+    state.add_backplane(gbps_to_units(60.0))
     with pytest.raises(PlacementError):
-        state.add_backplane(50.0)  # 110 > 100
-    state.release_backplane(30.0)
-    state.add_backplane(50.0)
-    assert state.backplane_gbps == pytest.approx(80.0)
+        state.add_backplane(gbps_to_units(50.0))  # 110 > 100
+    state.release_backplane(gbps_to_units(30.0))
+    state.add_backplane(gbps_to_units(50.0))
+    assert state.backplane_gbps == 80.0
+    state.add_backplane(gbps_to_units(20.0))  # exactly at capacity fits
+    with pytest.raises(PlacementError):
+        state.add_backplane(1)  # one unit over does not
+    with pytest.raises(PlacementError):
+        state.release_backplane(gbps_to_units(100.0) + 1)  # never below 0
 
 
 def test_snapshot_restore_roundtrip(state):
     state.add_logical_nf(0, 0, 50)
-    state.add_backplane(10.0)
+    state.add_backplane(gbps_to_units(10.0))
     snap = state.snapshot()
     state.add_logical_nf(1, 1, 70)
-    state.add_backplane(20.0)
+    state.add_backplane(gbps_to_units(20.0))
     state.restore(snap)
     assert state.entries[1, 1] == 0
     assert not state.physical[1, 1]
@@ -131,7 +137,7 @@ def test_from_placement_roundtrip(tiny_instance):
     state = PipelineState(tiny_instance)
     state.add_logical_nf(0, 0, 50)
     state.add_logical_nf(1, 1, 50)
-    state.add_backplane(10.0)
+    state.add_backplane(gbps_to_units(10.0))
     placement = state.make_placement(
         {0: NFAssignment(0, (1, 2))}, algorithm="test"
     )

@@ -2,6 +2,7 @@
 truncation, fsync-policy durability windows, and header-based compaction."""
 
 import json
+import zlib
 
 import pytest
 
@@ -129,6 +130,39 @@ def test_fsync_batch_syncs_every_n_appends(tmp_path):
     wal.append("c", {})
     assert wal.durable_offset == wal.offset  # third append hit the batch
     wal.abort()
+
+
+def test_every_policy_writes_canonical_json_lines(tmp_path):
+    payloads = [
+        ("admit", {"tenant_id": t, "sfc": {"rules": [t], "bandwidth_gbps": 0.5 + t}})
+        for t in range(7)
+    ] + [("evict", {"tenant_id": 0, "name": "t\u00e9"})]
+    expected = []
+    for lsn, (op, data) in enumerate(payloads, start=1):
+        body = json.dumps(
+            {"lsn": lsn, "op": op, "data": data, "epoch": 0},
+            sort_keys=True, separators=(",", ":"),
+        )
+        crc = zlib.crc32(body.encode("utf-8"))
+        expected.append(f'{{"crc":{crc},"rec":{body}}}\n'.encode("utf-8"))
+    for policy in ("always", "batch", "off"):
+        path = tmp_path / f"{policy}.jsonl"
+        wal = WriteAheadLog(path, fsync=policy, batch_every=3)
+        header = path.read_bytes()
+        for op, data in payloads:
+            wal.append(op, data)
+        wal.close()
+        assert path.read_bytes() == header + b"".join(expected), policy
+
+
+def test_abort_writes_held_records_but_leaves_them_unsynced(tmp_path):
+    wal = open_wal(tmp_path, fsync="batch", batch_every=8)
+    header_end = wal.durable_offset
+    for t in range(3):
+        wal.append("admit", {"tenant_id": t})
+    wal.abort()
+    assert wal.durable_offset == header_end
+    assert [r.data["tenant_id"] for r in scan_wal(wal.path).records] == [0, 1, 2]
 
 
 def test_lose_unsynced_tail_drops_exactly_the_unsynced_records(tmp_path):

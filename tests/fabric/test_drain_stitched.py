@@ -1,6 +1,6 @@
 """Coverage gap: drain/undrain while cross-switch *stitched* tenants are
 active.  Draining a switch that hosts stitch segments must re-home or
-evict every affected tenant, renormalize link loads, and leave the fabric
+evict every affected tenant, release link loads, and leave the fabric
 bit-identity invariant intact; undraining must return the switch to
 service for new stitched admits."""
 

@@ -13,6 +13,7 @@ from repro.fabric import (
     make_partitioner,
 )
 
+from repro.units import gbps_to_units
 from .conftest import chain
 
 
@@ -57,8 +58,8 @@ def test_hash_is_sticky_under_drain(fabric):
 def test_least_backplane_prefers_idle_switches(fabric):
     part = LeastBackplanePartitioner()
     assert part.order(chain(0), fabric) == ["sw0", "sw1", "sw2", "sw3"]
-    fabric.shards["sw0"].state.add_backplane(5.0)
-    fabric.shards["sw1"].state.add_backplane(1.0)
+    fabric.shards["sw0"].state.add_backplane(gbps_to_units(5.0))
+    fabric.shards["sw1"].state.add_backplane(gbps_to_units(1.0))
     order = part.order(chain(0), fabric)
     assert order == ["sw2", "sw3", "sw1", "sw0"]
     assert "sw0" == order[-1]  # most loaded goes last

@@ -13,6 +13,8 @@ from repro.globalopt.model import (
     snapshot_fabric,
 )
 
+from repro.units import gbps_to_units as U
+
 from .conftest import chain, make_fabric
 
 
@@ -31,10 +33,10 @@ class TestSnapshot:
             assert sw.used_blocks == sum(
                 shard.state.blocks_at_stage(s) for s in range(spec.stages)
             )
-            assert sw.used_backplane_gbps == shard.state.backplane_gbps
+            assert sw.used_backplane_units == shard.state.backplane_units
         for key, link in fabric.links.items():
-            assert model.link_capacity[key] == link.capacity_gbps
-            assert model.link_load[key] == link.load_gbps
+            assert model.link_capacity[key] == link.capacity_units
+            assert model.link_load[key] == link.load_units
 
     def test_tenants_and_current_plans_round_trip(self, fragmented):
         fabric, stitched = fragmented
@@ -80,7 +82,7 @@ class TestDemandMath:
         stages = model.switches[name].stages
         assert model.passes_needed(stages, name) == 1
         assert model.passes_needed(stages + 1, name) == 2
-        assert model.backplane_needed(stages + 1, 2.0, name) == 4.0
+        assert model.backplane_needed(stages + 1, U(2.0), name) == U(4.0)
 
 
 class TestUsage:
@@ -90,7 +92,7 @@ class TestUsage:
         usage = Usage.from_current(model)
         for name, sw in model.switches.items():
             assert usage.blocks[name] == sw.used_blocks
-            assert usage.backplane[name] == sw.used_backplane_gbps
+            assert usage.backplane[name] == sw.used_backplane_units
         for key, load in model.link_load.items():
             assert usage.link_load[key] == load
         occupants = {
@@ -122,7 +124,7 @@ class TestConstraintFamilies:
         rules = rules or (1,) * len(nf_types)
         return TenantFootprint(
             tenant_id=9, nf_types=tuple(nf_types), rules=tuple(rules),
-            bandwidth_gbps=1.0,
+            bandwidth_units=U(1.0),
         )
 
     def test_pins_and_forbids(self):
@@ -168,13 +170,13 @@ class TestRoute:
         switches = {
             name: SwitchModel(
                 name=name, stages=4, virtual_stages=8, total_blocks=24,
-                entries_per_block=100, capacity_gbps=60.0,
+                entries_per_block=100, capacity_units=U(60.0),
             )
             for name in ("sw0", "sw1", "sw2")
         }
         caps = {
-            link_key("sw0", "sw1"): 10.0,
-            link_key("sw1", "sw2"): 10.0,
+            link_key("sw0", "sw1"): U(10.0),
+            link_key("sw1", "sw2"): U(10.0),
         }
         return FabricModel(
             switches=switches,
@@ -189,35 +191,35 @@ class TestRoute:
     def test_multi_hop_path_over_non_adjacent_switches(self):
         model = self._line_model()
         usage = Usage(model)
-        path = route(model, usage, "sw0", "sw2", 5.0)
+        path = route(model, usage, "sw0", "sw2", U(5.0))
         assert path == (link_key("sw0", "sw1"), link_key("sw1", "sw2"))
 
     def test_saturated_link_blocks_the_route(self):
         model = self._line_model()
         usage = Usage(model)
-        usage.link_load[link_key("sw1", "sw2")] = 9.0
-        assert route(model, usage, "sw0", "sw2", 5.0) is None
-        assert route(model, usage, "sw0", "sw2", 1.0) is not None
+        usage.link_load[link_key("sw1", "sw2")] = U(9.0)
+        assert route(model, usage, "sw0", "sw2", U(5.0)) is None
+        assert route(model, usage, "sw0", "sw2", U(1.0)) is not None
 
     def test_same_switch_needs_no_route(self):
         model = self._line_model()
-        assert route(model, Usage(model), "sw0", "sw0", 1.0) is None
+        assert route(model, Usage(model), "sw0", "sw0", U(1.0)) is None
 
 
 def test_plan_demands_splits_the_chain_at_the_cut():
     switches = {
         "sw0": SwitchModel(
             name="sw0", stages=4, virtual_stages=8, total_blocks=24,
-            entries_per_block=100, capacity_gbps=60.0,
+            entries_per_block=100, capacity_units=U(60.0),
         ),
         "sw1": SwitchModel(
             name="sw1", stages=4, virtual_stages=8, total_blocks=24,
-            entries_per_block=100, capacity_gbps=60.0,
+            entries_per_block=100, capacity_units=U(60.0),
         ),
     }
     foot = TenantFootprint(
         tenant_id=7, nf_types=(1, 2, 3, 4, 5), rules=(4, 4, 4, 4, 4),
-        bandwidth_gbps=2.0,
+        bandwidth_units=U(2.0),
     )
     model = FabricModel(
         switches=switches, tenants={7: foot}, current={},

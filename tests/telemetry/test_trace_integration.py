@@ -119,8 +119,8 @@ def test_invariant_violation_snaps_the_flight_recorder():
     fabric.admit(chain(1))
     assert fabric.check_invariant() == []
     assert fabric.recorder.dumps_snapped == 0
-    fabric.shards["sw0"].state.backplane_gbps += 1.0  # induce drift
-    fabric.shards["sw1"].state.backplane_gbps += 1.0
+    fabric.shards["sw0"].state.backplane_units += 1  # induce drift
+    fabric.shards["sw1"].state.backplane_units += 1
     problems = fabric.check_invariant()
     assert problems
     assert fabric.recorder.dumps_snapped == 1
