@@ -32,7 +32,7 @@ if __package__ in (None, ""):  # running as a script: make src/ importable
 
 import numpy as np
 
-from repro.controller import ChurnConfig, ChurnEngine, SfcController, synthesize_churn
+from repro.controller import ChurnConfig, SfcController, replay, synthesize_churn
 from repro.core.state import PipelineState
 from repro.rng import DEFAULT_SEED
 from repro.traffic.workload import WorkloadConfig, make_instance
@@ -78,7 +78,7 @@ def run(duration_s: float, with_dataplane: bool) -> dict:
     events = synthesize_churn(config, rng=DEFAULT_SEED)
     instance = make_instance(config.workload, max_recirculations=2, rng=DEFAULT_SEED)
     controller = SfcController(instance, with_dataplane=with_dataplane)
-    report = ChurnEngine(controller).replay(events)
+    report = replay(controller, events)
     summary = report.summary()
     return {
         "benchmark": "controller-churn",

@@ -45,7 +45,7 @@ if __package__ in (None, ""):  # running as a script: make src/ importable
         0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     )
 
-from repro.controller import ChurnConfig, synthesize_churn
+from repro.controller import ChurnConfig, apply_event, synthesize_churn
 from repro.core.spec import SwitchSpec
 from repro.durability import (
     DISK_MODES,
@@ -99,15 +99,6 @@ def churn_events(duration_s: float):
         workload=WORKLOAD,
     )
     return synthesize_churn(config, rng=DEFAULT_SEED)
-
-
-def apply_event(fabric, event):
-    kind = event.kind.value
-    if kind == "arrival":
-        return fabric.admit(event.sfc)
-    if kind == "departure":
-        return fabric.evict(event.tenant_id)
-    return fabric.modify(event.tenant_id, event.sfc)
 
 
 def build_oracle(events) -> dict[int, str]:

@@ -38,7 +38,13 @@ if __package__ in (None, ""):  # running as a script: make src/ importable
         0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     )
 
-from repro.controller import ChurnConfig, ChurnEngine, SfcController, synthesize_churn
+from repro.controller import (
+    ChurnConfig,
+    SfcController,
+    apply_event,
+    replay,
+    synthesize_churn,
+)
 from repro.durability import ControllerDurability, recover_controller
 from repro.rng import DEFAULT_SEED
 from repro.traffic.workload import WorkloadConfig, make_instance
@@ -101,7 +107,7 @@ def churn_once(events, instance, directory=None, fsync="batch"):
         timer = _TimedJournal(durability)
         controller.durability = timer
     t0 = time.perf_counter()
-    ChurnEngine(controller).replay(events)
+    replay(controller, events)
     wall_s = time.perf_counter() - t0
     committed = 0
     journal_s = 0.0
@@ -123,9 +129,8 @@ def measure_recovery(events, instance, log_lengths):
                 directory, fsync="batch", checkpoint_every=0
             )
             durability.attach(controller)
-            engine = ChurnEngine(controller)
             for event in events:
-                engine.apply(event)
+                apply_event(controller, event)
                 if durability.wal.last_lsn >= target:
                     break
             live_digest = controller.state.digest()

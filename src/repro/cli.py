@@ -38,6 +38,31 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _paper_churn(duration_s: float, workload: dict | None = None, **knobs):
+    """A churn config over the paper's §VI-A workload (chains drawn per
+    arrival); ``workload`` overrides workload fields, ``knobs`` churn
+    fields."""
+    from dataclasses import replace
+
+    from repro.controller import ChurnConfig
+    from repro.experiments.config import PAPER_WORKLOAD
+
+    return ChurnConfig(
+        duration_s=duration_s,
+        workload=replace(PAPER_WORKLOAD, num_sfcs=0, **(workload or {})),
+        **knobs,
+    )
+
+
+def _demo_events(n: int, seed: int | None) -> list:
+    """The first ``n`` events of an 8-arrivals/s paper-workload stream
+    (the ``serve --demo-events`` and ``ha`` drivers)."""
+    from repro.controller import synthesize_churn
+
+    config = _paper_churn(max(1.0, n / 8.0), arrival_rate_per_s=8.0)
+    return synthesize_churn(config, rng=seed)[:n]
+
+
 def _cmd_figure(args: argparse.Namespace) -> int:
     from repro.experiments import (
         fig4_throughput,
@@ -141,28 +166,23 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_controller(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
     from repro.controller import (
-        ChurnConfig,
-        ChurnEngine,
         SfcController,
+        replay,
         save_events,
         synthesize_churn,
     )
-    from repro.experiments.config import PAPER_SWITCH, PAPER_WORKLOAD
+    from repro.experiments.config import PAPER_SWITCH
     from repro.traffic.workload import make_instance
 
-    workload = replace(PAPER_WORKLOAD, num_sfcs=0)
-    config = ChurnConfig(
-        duration_s=(5.0 if args.quick else args.duration),
+    config = _paper_churn(
+        5.0 if args.quick else args.duration,
         arrival_rate_per_s=args.rate,
         mean_lifetime_s=args.lifetime,
         modify_fraction=args.modify_fraction,
-        workload=workload,
     )
     instance = make_instance(
-        workload, switch=PAPER_SWITCH, max_recirculations=2, rng=args.seed
+        config.workload, switch=PAPER_SWITCH, max_recirculations=2, rng=args.seed
     )
     controller = SfcController.for_instance(
         instance, with_dataplane=not args.no_dataplane
@@ -176,7 +196,7 @@ def _cmd_controller(args: argparse.Namespace) -> int:
     if args.save_trace:
         save_events(args.save_trace, events, seed=args.seed, config=config)
         print(f"wrote churn trace: {args.save_trace}")
-    report = ChurnEngine(controller).replay(events)
+    report = replay(controller, events)
     print(report.describe())
     print(f"live tenants: {len(controller.tenants)}")
     snapshot = controller.metrics.snapshot()
@@ -188,16 +208,9 @@ def _cmd_controller(args: argparse.Namespace) -> int:
 
 
 def _cmd_fabric(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
-    from repro.controller import ChurnConfig, load_events, save_events, synthesize_churn
+    from repro.controller import load_events, replay, save_events, synthesize_churn
     from repro.experiments.config import PAPER_SWITCH, PAPER_WORKLOAD
-    from repro.fabric import (
-        FabricChurnEngine,
-        FabricOrchestrator,
-        FabricTopology,
-        make_partitioner,
-    )
+    from repro.fabric import FabricOrchestrator, FabricTopology, make_partitioner
 
     topology = FabricTopology.full_mesh(
         args.switches,
@@ -218,19 +231,17 @@ def _cmd_fabric(args: argparse.Namespace) -> int:
     if args.trace:
         events = load_events(args.trace)
     else:
-        workload = replace(PAPER_WORKLOAD, num_sfcs=0)
-        config = ChurnConfig(
-            duration_s=(5.0 if args.quick else args.duration),
+        config = _paper_churn(
+            5.0 if args.quick else args.duration,
             arrival_rate_per_s=args.rate,
             mean_lifetime_s=args.lifetime,
             modify_fraction=args.modify_fraction,
-            workload=workload,
         )
         events = synthesize_churn(config, rng=args.seed)
         if args.save_trace:
             save_events(args.save_trace, events, seed=args.seed, config=config)
             print(f"wrote churn trace: {args.save_trace}")
-    report = FabricChurnEngine(fabric).replay(events)
+    report = replay(fabric, events)
     print(f"fabric: {args.switches} switches ({args.partitioner}), "
           f"{len(fabric.links)} links")
     print(report.describe())
@@ -392,7 +403,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         fsync=args.fsync,
         partitioner=args.partitioner,
         fastpath=args.fastpath,
-        fastpath_backend=args.fastpath_backend,
         traffic_packets=args.traffic,
     )
     print(report.describe())
@@ -419,7 +429,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.controller import ChurnConfig, synthesize_churn
+    from repro.controller import replay
     from repro.experiments.config import PAPER_SWITCH, PAPER_WORKLOAD
     from repro.fabric import FabricOrchestrator, FabricTopology, make_partitioner
     from repro.frontend import FrontendClient, FrontendServer, IntentQueue
@@ -462,25 +472,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.demo_events:
             # Self-driving demo/CI mode: synthesize a short churn stream,
             # push it through the in-process client, then shut down.
-            from dataclasses import replace
-
-            client = FrontendClient(server.pool)
-            config = ChurnConfig(
-                duration_s=max(1.0, args.demo_events / 8.0),
-                arrival_rate_per_s=8.0,
-                workload=replace(PAPER_WORKLOAD, num_sfcs=0),
-            )
-            events = synthesize_churn(config, rng=args.seed)[: args.demo_events]
-            ok = 0
-            for event in events:
-                if event.kind.value == "arrival":
-                    assert event.sfc is not None
-                    ok += client.admit(event.sfc).ok
-                elif event.kind.value == "departure":
-                    ok += client.evict(event.tenant_id).ok
-                else:
-                    assert event.sfc is not None
-                    ok += client.modify(event.tenant_id, event.sfc).ok
+            events = _demo_events(args.demo_events, args.seed)
+            report = replay(FrontendClient(server.pool), events)
+            ok = sum(result.ok for _event, result in report.results)
             print(f"demo: {ok}/{len(events)} intents accepted, "
                   f"{fabric.summary()['tenants']} tenants live")
         else:  # pragma: no cover — interactive serve loop
@@ -500,10 +494,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_ha(args: argparse.Namespace) -> int:
     import json
     import time
-    from dataclasses import replace
     from pathlib import Path
 
-    from repro.controller import ChurnConfig, synthesize_churn
+    from repro.controller import apply_event
     from repro.experiments.config import PAPER_SWITCH, PAPER_WORKLOAD
     from repro.fabric import FabricOrchestrator, FabricTopology, make_partitioner
 
@@ -520,22 +513,6 @@ def _cmd_ha(args: argparse.Namespace) -> int:
             partitioner=make_partitioner("hash"),
             with_dataplane=False,
         )
-
-    def churn_events(n: int):
-        config = ChurnConfig(
-            duration_s=max(1.0, n / 8.0),
-            arrival_rate_per_s=8.0,
-            workload=replace(PAPER_WORKLOAD, num_sfcs=0),
-        )
-        return synthesize_churn(config, rng=args.seed)[:n]
-
-    def apply_event(fabric, event):
-        kind = event.kind.value
-        if kind == "arrival":
-            return fabric.admit(event.sfc)
-        if kind == "departure":
-            return fabric.evict(event.tenant_id)
-        return fabric.modify(event.tenant_id, event.sfc)
 
     if args.action == "status":
         from repro.durability import CheckpointStore, FabricDurability, scan_wal
@@ -564,7 +541,7 @@ def _cmd_ha(args: argparse.Namespace) -> int:
         cluster.start()
         print(f"primary elected at epoch {cluster.primary_lease.epoch}; "
               f"shipping to an in-process standby")
-        events = churn_events(args.events)
+        events = _demo_events(args.events, args.seed)
         decided = 0
         acked = 0
         for event in events:
@@ -621,7 +598,7 @@ def _cmd_ha(args: argparse.Namespace) -> int:
             print(f"shipping WAL frames to {args.peer}")
         print(f"primary {node!r} at epoch {lease.epoch}, "
               f"journaling to {root / 'primary'}")
-        events = churn_events(args.events)
+        events = _demo_events(args.events, args.seed)
         decided = 0
         for event in events:
             decided += bool(apply_event(fabric, event).ok)
@@ -705,17 +682,9 @@ def _cmd_reoptimize(args: argparse.Namespace) -> int:
 
     # Local demo: fragment a deliberately tight fabric with churn, then
     # run one re-optimization pass over the survivors.
-    from dataclasses import replace
-
-    from repro.controller import ChurnConfig, synthesize_churn
+    from repro.controller import replay, synthesize_churn
     from repro.core.spec import SwitchSpec
-    from repro.experiments.config import PAPER_WORKLOAD
-    from repro.fabric import (
-        FabricChurnEngine,
-        FabricOrchestrator,
-        FabricTopology,
-        make_partitioner,
-    )
+    from repro.fabric import FabricOrchestrator, FabricTopology, make_partitioner
 
     spec = SwitchSpec(
         stages=4, blocks_per_stage=8, block_bits=6400, rule_bits=64,
@@ -731,19 +700,18 @@ def _cmd_reoptimize(args: argparse.Namespace) -> int:
         partitioner=make_partitioner(args.partitioner),
         with_dataplane=not args.no_dataplane,
     )
-    config = ChurnConfig(
-        duration_s=(5.0 if args.quick else args.duration),
+    config = _paper_churn(
+        5.0 if args.quick else args.duration,
+        workload=dict(
+            num_types=6, avg_chain_length=3, chain_length_spread=2,
+            rules_min=1, rules_max=4,
+            mean_bandwidth_gbps=1.0, max_bandwidth_gbps=4.0,
+        ),
         arrival_rate_per_s=12.0,
         mean_lifetime_s=6.0,
         modify_fraction=0.25,
-        workload=replace(
-            PAPER_WORKLOAD, num_sfcs=0, num_types=6, avg_chain_length=3,
-            chain_length_spread=2, rules_min=1, rules_max=4,
-            mean_bandwidth_gbps=1.0, max_bandwidth_gbps=4.0,
-        ),
     )
-    events = synthesize_churn(config, rng=args.seed)
-    FabricChurnEngine(fabric).replay(events)
+    replay(fabric, synthesize_churn(config, rng=args.seed))
     before = fabric.summary()
     print(f"after churn: {before['tenants']} tenants live, "
           f"{before['stitched_tenants']} stitched across switches")
@@ -837,28 +805,23 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
-    from repro.controller import ChurnConfig, ChurnEngine, SfcController, synthesize_churn
+    from repro.controller import SfcController, replay, synthesize_churn
     from repro.dataplane.packet import Packet
-    from repro.experiments.config import PAPER_SWITCH, PAPER_WORKLOAD
+    from repro.experiments.config import PAPER_SWITCH
     from repro.telemetry import PostcardCollector, render_prometheus
     from repro.traffic.workload import make_instance
 
-    workload = replace(PAPER_WORKLOAD, num_sfcs=0)
-    config = ChurnConfig(
-        duration_s=(5.0 if args.quick else args.duration),
-        arrival_rate_per_s=args.rate,
-        workload=workload,
+    config = _paper_churn(
+        5.0 if args.quick else args.duration, arrival_rate_per_s=args.rate
     )
     instance = make_instance(
-        workload, switch=PAPER_SWITCH, max_recirculations=2, rng=args.seed
+        config.workload, switch=PAPER_SWITCH, max_recirculations=2, rng=args.seed
     )
     controller = SfcController.for_instance(instance)
     collector = PostcardCollector(sample_every=args.sample_every)
     assert controller.pipeline is not None
     controller.pipeline.telemetry = collector
-    ChurnEngine(controller).replay(synthesize_churn(config, rng=args.seed))
+    replay(controller, synthesize_churn(config, rng=args.seed))
     # Push probe traffic through the survivors so the postcard sampler has
     # packets to observe (churn alone only exercises the control plane).
     for tenant_id in sorted(controller.tenants):
@@ -1041,15 +1004,10 @@ def main(argv: list[str] | None = None) -> int:
              "pipeline (implies --dataplane)",
     )
     p.add_argument(
-        "--fastpath-backend",
-        choices=("auto", "numpy", "python"), default="auto",
-        help="fast-path kernel backend (auto = numpy when installed)",
-    )
-    p.add_argument(
         "--traffic", type=int, default=0, metavar="N",
         help="inject N packets per live tenant at every phase boundary "
              "(needs the data plane; with --fastpath this drives the "
-             "compiled kernels end to end)",
+             "compiled kernel end to end)",
     )
     p.add_argument(
         "--partitioner",

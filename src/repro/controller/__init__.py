@@ -8,8 +8,11 @@ single lifecycle facade:
 * :mod:`~repro.controller.admission` — pre-solver admission screens;
 * :mod:`~repro.controller.install` — two-phase hitless rule installation
   over the tenant-map wire-ID indirection;
-* :mod:`~repro.controller.events` — churn synthesis, trace replay, reports;
-* :mod:`~repro.controller.metrics` — counters/gauges the benchmarks export.
+* :mod:`~repro.controller.events` — churn synthesis, the one replay driver
+  (:func:`replay`), reports.
+
+The counters/gauges the benchmarks export live in
+:mod:`repro.telemetry.metrics`.
 """
 
 from repro.controller.admission import (
@@ -25,12 +28,13 @@ from repro.controller.controller import (
 )
 from repro.controller.events import (
     ChurnConfig,
-    ChurnEngine,
     ChurnEvent,
     ChurnReport,
     EventKind,
+    apply_event,
     load_events,
     read_trace_header,
+    replay,
     save_events,
     synthesize_churn,
 )
@@ -40,38 +44,27 @@ from repro.controller.install import (
     InstallOutcome,
     TransactionalInstaller,
 )
-from repro.controller.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
 
 __all__ = [
     "AdmissionDecision",
     "AdmissionPolicy",
     "ChurnConfig",
-    "ChurnEngine",
     "ChurnEvent",
     "ChurnReport",
-    "Counter",
-    "DEFAULT_LATENCY_BUCKETS",
     "EventKind",
-    "Gauge",
-    "Histogram",
     "InstallOutcome",
-    "MetricsRegistry",
     "OpResult",
     "SfcController",
     "TENANT_MAP",
     "TenantRecord",
     "TransactionalInstaller",
     "WIRE_BASE",
+    "apply_event",
     "check_admission",
     "default_rule_factory",
     "load_events",
     "read_trace_header",
+    "replay",
     "save_events",
     "synthesize_churn",
 ]

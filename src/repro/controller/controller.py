@@ -123,7 +123,6 @@ class SfcController:
         tracer: Tracer | None = None,
         recorder: FlightRecorder | None = None,
         fastpath: bool = False,
-        fastpath_backend: str = "auto",
     ) -> None:
         """``instance`` supplies the switch, catalog size and recirculation
         budget (its candidate SFCs, if any, are *not* auto-admitted).  With
@@ -184,9 +183,7 @@ class SfcController:
                 # engine's precise invalidation layer automatically.
                 from repro.fastpath import FastPathEngine
 
-                self.fastpath = FastPathEngine.attach(
-                    self.pipeline, backend=fastpath_backend
-                )
+                self.fastpath = FastPathEngine.attach(self.pipeline)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -229,7 +226,7 @@ class SfcController:
         )
 
     def metrics_snapshot(self) -> dict:
-        """Current metrics as one plain dict (see :mod:`.metrics`)."""
+        """Current metrics as one plain dict (see :mod:`repro.telemetry.metrics`)."""
         return self.metrics.snapshot()
 
     def can_host(self, sfc: SFC) -> bool:

@@ -1,13 +1,19 @@
 """Event-driven tenant churn: synthesis, trace replay, and reporting.
 
-The churn engine drives an :class:`~repro.controller.controller.SfcController`
-with a timestamped stream of tenant lifecycle events — arrivals (Poisson at a
-configurable rate, chains drawn from the §VI-A workload generator),
-departures (exponential lifetimes), and in-place chain modifications (a
-fraction of tenants re-negotiate mid-lifetime).  Streams can be synthesized
-from a seed (:func:`synthesize_churn`) or saved to / replayed from a JSONL
-trace (:func:`save_events` / :func:`load_events`), and every replay produces
-a :class:`ChurnReport` with per-event latencies and rule-churn totals — the
+A churn stream is a timestamped sequence of tenant lifecycle events —
+arrivals (Poisson at a configurable rate, chains drawn from the §VI-A
+workload generator), departures (exponential lifetimes), and in-place chain
+modifications (a fraction of tenants re-negotiate mid-lifetime).  Streams
+can be synthesized from a seed (:func:`synthesize_churn`) or saved to /
+replayed from a JSONL trace (:func:`save_events` / :func:`load_events`);
+malformed events are refused with :class:`~repro.errors.WorkloadError` when
+they are built, so a bad trace line never reaches a controller.
+
+:func:`replay` is the one driver: it applies a stream to anything with
+``admit``/``evict``/``modify`` — an :class:`~repro.controller.controller.
+SfcController`, a :class:`~repro.fabric.orchestrator.FabricOrchestrator` or
+a :class:`~repro.frontend.client.FrontendClient` — and returns a
+:class:`ChurnReport` with per-event latencies and rule-churn totals, the
 numbers ``benchmarks/bench_controller_churn.py`` serializes.
 """
 
@@ -16,16 +22,19 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from repro.controller.controller import OpResult, SfcController
+from repro.controller.controller import OpResult
 from repro.core.spec import SFC
-from repro.errors import WorkloadError
+from repro.errors import PlacementError, WorkloadError
 from repro.rng import make_rng
+from repro.telemetry.metrics import Timer
 from repro.traffic.workload import WorkloadConfig, make_sfcs
 
 
@@ -43,7 +52,9 @@ class ChurnEvent:
 
     ``sfc`` carries the requested chain for arrivals and modifications and
     is ``None`` for departures.  ``seq`` breaks timestamp ties so replay
-    order is total and deterministic.
+    order is total and deterministic.  Construction refuses a non-finite
+    time, a non-integral or negative ``seq``/``tenant_id``, an unknown
+    kind, and an arrival or modify without an SFC.
     """
 
     time_s: float
@@ -51,6 +62,29 @@ class ChurnEvent:
     kind: EventKind
     tenant_id: int
     sfc: SFC | None = None
+
+    def __post_init__(self) -> None:
+        where = f"churn event seq={self.seq!r}"
+        t = self.time_s
+        if isinstance(t, bool) or not isinstance(t, numbers.Real) or not math.isfinite(t):
+            raise WorkloadError(f"{where}: time_s must be finite, got {t!r}")
+        for name in ("seq", "tenant_id"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 0:
+                raise WorkloadError(
+                    f"{where}: {name} must be a non-negative integer, got {v!r}"
+                )
+        try:
+            kind = EventKind(self.kind)
+        except ValueError:
+            raise WorkloadError(f"{where}: unknown kind {self.kind!r}") from None
+        if kind is not EventKind.DEPARTURE and not isinstance(self.sfc, SFC):
+            raise WorkloadError(f"{where}: {kind.value} event has no SFC")
+        # Dataclass is frozen; normalize via object.__setattr__.
+        object.__setattr__(self, "time_s", float(t))
+        object.__setattr__(self, "seq", int(self.seq))
+        object.__setattr__(self, "tenant_id", int(self.tenant_id))
+        object.__setattr__(self, "kind", kind)
 
     def to_dict(self) -> dict:
         """JSON-serializable form (one JSONL trace record)."""
@@ -66,15 +100,19 @@ class ChurnEvent:
 
     @classmethod
     def from_dict(cls, record: dict) -> "ChurnEvent":
-        """Inverse of :meth:`to_dict`."""
-        sfc = SFC.from_dict(record["sfc"]) if "sfc" in record else None
-        return cls(
-            time_s=float(record["time_s"]),
-            seq=int(record["seq"]),
-            kind=EventKind(record["kind"]),
-            tenant_id=int(record["tenant_id"]),
-            sfc=sfc,
-        )
+        """Inverse of :meth:`to_dict`; any malformed record raises
+        :class:`~repro.errors.WorkloadError`."""
+        try:
+            sfc = SFC.from_dict(record["sfc"]) if "sfc" in record else None
+            return cls(
+                time_s=record["time_s"],
+                seq=record["seq"],
+                kind=record["kind"],
+                tenant_id=record["tenant_id"],
+                sfc=sfc,
+            )
+        except (KeyError, TypeError, ValueError, PlacementError) as exc:
+            raise WorkloadError(f"bad churn event {record!r}: {exc!r}") from None
 
 
 @dataclass(frozen=True)
@@ -213,17 +251,22 @@ def read_trace_header(path: str | Path) -> dict | None:
 
 def load_events(path: str | Path) -> list[ChurnEvent]:
     """Read a churn stream saved by :func:`save_events` (the header record,
-    when present, is skipped — :func:`read_trace_header` returns it)."""
+    when present, is skipped — :func:`read_trace_header` returns it).  A
+    line that is not JSON or not a well-formed event raises
+    :class:`~repro.errors.WorkloadError` naming the line."""
     events = []
     with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            if record.get("header"):
-                continue
-            events.append(ChurnEvent.from_dict(record))
+            try:
+                record = json.loads(line)
+                if isinstance(record, dict) and record.get("header"):
+                    continue
+                events.append(ChurnEvent.from_dict(record))
+            except (ValueError, WorkloadError) as exc:
+                raise WorkloadError(f"{path}:{lineno}: {exc}") from None
     return events
 
 
@@ -320,29 +363,24 @@ class ChurnReport:
         )
 
 
-class ChurnEngine:
-    """Applies a churn stream to a controller, one event at a time."""
+def apply_event(target, event: ChurnEvent):
+    """Apply one lifecycle event to ``target`` — anything with
+    ``admit``/``evict``/``modify`` — and return its op result."""
+    if event.kind is EventKind.ARRIVAL:
+        return target.admit(event.sfc)
+    if event.kind is EventKind.DEPARTURE:
+        return target.evict(event.tenant_id)
+    return target.modify(event.tenant_id, event.sfc)
 
-    def __init__(self, controller: SfcController) -> None:
-        self.controller = controller
 
-    def apply(self, event: ChurnEvent) -> OpResult:
-        """Dispatch one event to the controller."""
-        if event.kind is EventKind.ARRIVAL:
-            if event.sfc is None:
-                raise WorkloadError(f"arrival event at t={event.time_s} has no SFC")
-            return self.controller.admit(event.sfc)
-        if event.kind is EventKind.DEPARTURE:
-            return self.controller.evict(event.tenant_id)
-        if event.sfc is None:
-            raise WorkloadError(f"modify event at t={event.time_s} has no SFC")
-        return self.controller.modify(event.tenant_id, event.sfc)
-
-    def replay(self, events: Iterable[ChurnEvent]) -> ChurnReport:
-        """Apply every event in order and collect the report."""
-        report = ChurnReport()
-        with self.controller.metrics.timer("replay_wall_s") as timer:
-            for event in events:
-                report.results.append((event, self.apply(event)))
-        report.wall_seconds = timer.elapsed_s
-        return report
+def replay(target, events: Iterable[ChurnEvent]) -> ChurnReport:
+    """Apply every event in order to ``target`` and collect the report.
+    A target with ``.metrics`` (controller, fabric) also records the
+    replay's wall time in its ``replay_wall_s`` histogram."""
+    report = ChurnReport()
+    metrics = getattr(target, "metrics", None)
+    with (Timer() if metrics is None else metrics.timer("replay_wall_s")) as timer:
+        for event in events:
+            report.results.append((event, apply_event(target, event)))
+    report.wall_seconds = timer.elapsed_s
+    return report

@@ -67,7 +67,7 @@ class SwitchPipeline:
         #: Opt-in compiled fast path: attach a
         #: :class:`~repro.fastpath.engine.FastPathEngine` (via
         #: ``FastPathEngine.attach(pipeline)``) and :meth:`process_batch`
-        #: executes per-tenant compiled plans on columnar kernels, with the
+        #: executes per-tenant compiled plans on the columnar kernel, with the
         #: interpreter below kept as the differential oracle (``None`` =
         #: every batch takes the interpreted path).
         self.fastpath = None
@@ -160,7 +160,7 @@ class SwitchPipeline:
         cross-packet contention; throughput is the latency model's job).
 
         With a :attr:`fastpath` engine attached the batch executes on
-        per-tenant compiled plans (columnar kernels); otherwise — and for
+        per-tenant compiled plans (columnar kernel); otherwise — and for
         any packet the engine cannot or must not compile — the interpreted
         walk below runs, making it the always-available differential
         oracle for the compiled path.

@@ -61,7 +61,7 @@ from repro.controller.admission import AdmissionPolicy
 from repro.controller.controller import OpResult, RuleFactory, SfcController
 from repro.core.spec import SFC, ProblemInstance
 from repro.core.state import LinkState, PipelineState, stable_digest
-from repro.errors import PlacementError
+from repro.errors import DataPlaneError, PlacementError
 from repro.fabric.partitioner import ConsistentHashPartitioner, Partitioner
 from repro.fabric.stitching import StitchPlan, plan_stitch
 from repro.fabric.topology import FabricTopology, LinkKey
@@ -171,8 +171,13 @@ class FabricOrchestrator:
         tracer: Tracer | None = None,
         recorder: FlightRecorder | None = None,
         fastpath: bool = False,
-        fastpath_backend: str = "auto",
+        # Only "numpy" (the one kernel); kept because sfpbench passes it.
+        fastpath_backend: str = "numpy",
     ) -> None:
+        if fastpath_backend != "numpy":
+            raise DataPlaneError(
+                f"unknown fastpath backend {fastpath_backend!r} (only 'numpy')"
+            )
         self.topology = topology
         self.num_types = num_types
         self.partitioner = partitioner or ConsistentHashPartitioner()
@@ -205,7 +210,6 @@ class FabricOrchestrator:
                 tracer=tracer,
                 recorder=self.recorder,
                 fastpath=fastpath,
-                fastpath_backend=fastpath_backend,
             )
         self.links: dict[LinkKey, LinkState] = {
             key: LinkState(link.capacity_gbps)

@@ -255,10 +255,11 @@ class _Handler(BaseHTTPRequestHandler):
     # -- parsing -------------------------------------------------------
     @staticmethod
     def _parse_tenant_id(raw: str) -> int:
-        try:
-            return int(raw)
-        except ValueError:
-            raise FrontendError(f"bad tenant id {raw!r}") from None
+        # ASCII decimal digits only: int() would also take "-1", "+1",
+        # "1_0" and non-ASCII digits.
+        if not (raw.isascii() and raw.isdigit()):
+            raise FrontendError(f"bad tenant id {raw!r}")
+        return int(raw)
 
     @staticmethod
     def _parse_sfc(body: dict) -> SFC:

@@ -2,7 +2,7 @@
 
 :class:`ScenarioRunner` drives a :class:`~repro.fabric.orchestrator.
 FabricOrchestrator` with a compiled campaign stream: lifecycle events go
-through the normal :class:`~repro.fabric.engine.FabricChurnEngine` dispatch
+through the one churn dispatch, :func:`~repro.controller.events.apply_event`
 (admit / evict / modify), ``drain``/``undrain`` events call the fabric's
 failover API, ``reoptimize`` events run a fabric-wide global
 re-optimization pass (hitless migration included), and every ``phase``
@@ -20,9 +20,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.controller.events import ChurnReport
+from repro.controller.events import ChurnReport, apply_event
 from repro.errors import ScenarioError
-from repro.fabric.engine import FabricChurnEngine
 from repro.fabric.orchestrator import FabricOrchestrator
 from repro.fabric.partitioner import make_partitioner
 from repro.scenarios.compile import (
@@ -196,7 +195,6 @@ class ScenarioRunner:
         traffic_seed: int = 0,
     ) -> None:
         self.fabric = fabric
-        self.engine = FabricChurnEngine(fabric)
         #: Audit the fabric at every phase boundary (the acceptance mode).
         #: Switching it off skips the O(state) recompute for pure
         #: throughput measurements; digests are still recorded.
@@ -204,14 +202,14 @@ class ScenarioRunner:
         #: Per-tenant packets injected at every phase boundary (0 = off).
         #: Needs a fabric with the data plane; with fast-path engines
         #: attached this is what drives campaign traffic through the
-        #: compiled kernels end to end.
+        #: compiled kernel end to end.
         self.traffic_packets = traffic_packets
         self.traffic_seed = traffic_seed
 
     def _run_traffic(self, phase: PhaseReport) -> None:
         """Inject ``traffic_packets`` packets per live tenant through each
-        tenant's home shard pipeline (one batch per shard, so compiled
-        kernels see real multi-tenant batches), in deterministic order."""
+        tenant's home shard pipeline (one batch per shard, so the compiled
+        kernel sees real multi-tenant batches), in deterministic order."""
         if self.traffic_packets <= 0 or not self.fabric.with_dataplane:
             return
         from repro.traffic.flows import FlowGenerator
@@ -293,7 +291,7 @@ class ScenarioRunner:
                     current.reopt_moves += reopt.migration.executed
                 self.fabric.metrics.inc("scenario.reoptimizes")
             else:
-                result = self.engine.apply(event.to_churn_event())
+                result = apply_event(self.fabric, event.to_churn_event())
                 current.churn.results.append((event, result))
         if current is not None:
             self._close_phase(current)
@@ -317,7 +315,6 @@ def run_campaign(
     partitioner: str | None = None,
     check_invariants: bool = True,
     fastpath: bool = False,
-    fastpath_backend: str = "auto",
     traffic_packets: int = 0,
 ) -> tuple[FabricOrchestrator, CampaignReport]:
     """Compile ``spec``, build its fabric (journaling to ``wal_dir`` when
@@ -327,7 +324,7 @@ def run_campaign(
     ``fastpath=True`` attaches a compiled fast-path engine to every shard
     pipeline (implies the data plane); ``traffic_packets`` injects that
     many packets per live tenant at each phase boundary, which is what
-    makes campaign phases exercise the compiled kernels end to end.
+    makes campaign phases exercise the compiled kernel end to end.
     """
     campaign = compile_scenario(spec, seed)
     fabric = build_fabric(
@@ -335,7 +332,6 @@ def run_campaign(
         with_dataplane=with_dataplane or fastpath,
         partitioner=partitioner,
         fastpath=fastpath,
-        fastpath_backend=fastpath_backend,
     )
     durability = None
     if wal_dir is not None:

@@ -6,8 +6,9 @@ are set to the latest observed value (live tenants, objective, residual
 memory per stage); histograms bin observations into fixed buckets (the
 fabric orchestrator tracks per-switch admit latency this way);
 :meth:`MetricsRegistry.timer` stopwatches a code block straight into a
-latency histogram — the controller, fabric, and churn engines time every
-operation through it instead of hand-rolled ``perf_counter`` pairs.
+latency histogram — the controller, the fabric and the churn
+:func:`~repro.controller.events.replay` driver time every operation through
+it instead of hand-rolled ``perf_counter`` pairs.
 :meth:`MetricsRegistry.snapshot` freezes everything into one plain ``dict``
 of name-sorted sub-dicts built from JSON-native types only, so serialized
 snapshots are deterministic and diff cleanly — the shape the churn
@@ -21,9 +22,6 @@ carry their own mutex and the registry serializes get-or-create and
 snapshots, so the concurrent front end's shard workers
 (:mod:`repro.frontend.workers`) can hammer one shared registry without
 corrupting counts or tearing snapshots mid-update.
-
-Historically this module lived at ``repro.controller.metrics``; that path
-remains as a re-export shim.
 """
 
 from __future__ import annotations

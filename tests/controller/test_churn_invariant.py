@@ -12,7 +12,13 @@
 import numpy as np
 import pytest
 
-from repro.controller import ChurnConfig, ChurnEngine, SfcController, synthesize_churn
+from repro.controller import (
+    ChurnConfig,
+    SfcController,
+    apply_event,
+    replay,
+    synthesize_churn,
+)
 from repro.controller.install import TENANT_MAP, TransactionalInstaller, WIRE_BASE
 from repro.core.state import PipelineState
 from repro.core.verify import check_placement
@@ -49,7 +55,7 @@ def fresh_controller() -> SfcController:
 
 def test_churn_invariant_bit_identical_accounting(churn_events):
     controller = fresh_controller()
-    report = ChurnEngine(controller).replay(churn_events)
+    report = replay(controller, churn_events)
     assert report.num_events == len(churn_events)
     summary = report.summary()
     assert summary["admitted"] >= 100
@@ -97,7 +103,6 @@ def test_churn_stream_is_hitless_under_interleaved_batches(churn_events, monkeyp
     monkeypatch.setattr(TransactionalInstaller, "_compile_generation", recording)
 
     controller = fresh_controller()
-    engine = ChurnEngine(controller)
     probed = {"batches": 0, "packets": 0, "wired": 0}
     current_tenant = [0]
 
@@ -127,7 +132,7 @@ def test_churn_stream_is_hitless_under_interleaved_batches(churn_events, monkeyp
     controller.installer.on_batch = probe
     for event in churn_events:
         current_tenant[0] = event.tenant_id
-        engine.apply(event)
+        apply_event(controller, event)
 
     # The property was actually exercised, in volume, on steered traffic.
     assert probed["batches"] >= 1000

@@ -5,16 +5,16 @@ import pytest
 
 from repro.controller.events import (
     ChurnConfig,
-    ChurnEngine,
     ChurnEvent,
     EventKind,
     load_events,
+    replay,
     save_events,
     synthesize_churn,
 )
 from repro.controller.controller import SfcController
-from repro.controller.metrics import MetricsRegistry
 from repro.errors import PlacementError, WorkloadError
+from repro.telemetry.metrics import MetricsRegistry
 from repro.traffic.workload import WorkloadConfig
 
 
@@ -73,7 +73,7 @@ def test_jsonl_roundtrip(config, tmp_path):
 def test_replay_report(tiny_instance, config):
     controller = SfcController(tiny_instance, with_dataplane=False)
     events = synthesize_churn(config, rng=3)
-    report = ChurnEngine(controller).replay(events)
+    report = replay(controller, events)
     assert report.num_events == len(events)
     summary = report.summary()
     assert summary["admitted"] >= 1
@@ -84,15 +84,58 @@ def test_replay_report(tiny_instance, config):
     assert "events/s" in described and "p99" in described
 
 
+SFC_RECORD = {
+    "name": "t", "nf_types": [1], "rules": [1], "bandwidth_gbps": 1.0,
+    "tenant_id": 1,
+}
+GOOD_RECORD = {
+    "time_s": 0.5, "seq": 3, "kind": "arrival", "tenant_id": 1,
+    "sfc": SFC_RECORD,
+}
+#: One malformed trace record per rule ``ChurnEvent`` enforces.
+BAD_RECORDS = [
+    {**GOOD_RECORD, "time_s": float("nan")},
+    {**GOOD_RECORD, "time_s": float("inf")},
+    {**GOOD_RECORD, "time_s": "0.5"},
+    {**GOOD_RECORD, "seq": 1.7},
+    {**GOOD_RECORD, "seq": True},
+    {**GOOD_RECORD, "seq": -1},
+    {**GOOD_RECORD, "tenant_id": 2.9},
+    {**GOOD_RECORD, "tenant_id": -5},
+    {**GOOD_RECORD, "kind": "teleport"},
+    {key: v for key, v in GOOD_RECORD.items() if key != "sfc"},
+    {**{key: v for key, v in GOOD_RECORD.items() if key != "sfc"},
+     "kind": "modify"},
+    {key: v for key, v in GOOD_RECORD.items() if key != "tenant_id"},
+    {**GOOD_RECORD, "sfc": {**SFC_RECORD, "bandwidth_gbps": float("nan")}},
+    {**GOOD_RECORD, "sfc": {**SFC_RECORD, "nf_types": 5}},
+    [0.5, 3, "arrival", 1],
+]
+
+
 def test_bad_configs_rejected():
     with pytest.raises(WorkloadError):
         ChurnConfig(duration_s=0)
     with pytest.raises(WorkloadError):
         ChurnConfig(modify_fraction=1.5)
     with pytest.raises(WorkloadError):
-        ChurnEngine(None).apply(
-            ChurnEvent(time_s=0.0, seq=0, kind=EventKind.ARRIVAL, tenant_id=1)
-        )
+        ChurnEvent(time_s=0.0, seq=0, kind=EventKind.ARRIVAL, tenant_id=1)
+    assert ChurnEvent.from_dict(GOOD_RECORD).to_dict() == GOOD_RECORD
+    for record in BAD_RECORDS:
+        with pytest.raises(WorkloadError):
+            ChurnEvent.from_dict(record)
+
+
+def test_load_events_names_the_bad_line(config, tmp_path):
+    path = tmp_path / "churn.jsonl"
+    save_events(path, synthesize_churn(config, rng=3)[:4])
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write('{"time_s": NaN, "seq": 9, "kind": "departure", "tenant_id": 1}\n')
+    with pytest.raises(WorkloadError, match=r"churn\.jsonl:6"):
+        load_events(path)
+    path.write_text("{not json\n", encoding="utf-8")
+    with pytest.raises(WorkloadError, match=r"churn\.jsonl:1"):
+        load_events(path)
 
 
 def test_metrics_registry():
@@ -125,7 +168,7 @@ def test_report_with_zero_successful_admits_is_nan_free(tiny_instance):
         ChurnEvent(time_s=float(i), seq=i, kind=EventKind.DEPARTURE, tenant_id=i)
         for i in range(5)
     ]
-    report = ChurnEngine(controller).replay(events)
+    report = replay(controller, events)
     assert report.admit_latency_percentile(50) is None
     assert report.admit_latency_percentile(99) is None
     summary = report.summary()

@@ -6,12 +6,12 @@ import json
 import numpy as np
 import pytest
 
-from repro.controller.metrics import (
+from repro.errors import PlacementError
+from repro.telemetry.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Histogram,
     MetricsRegistry,
 )
-from repro.errors import PlacementError
 
 
 def test_counter_and_gauge_basics():

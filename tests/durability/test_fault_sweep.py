@@ -10,7 +10,7 @@ exactly the LSN its surviving log reaches.
 
 import pytest
 
-from repro.controller import synthesize_churn
+from repro.controller import apply_event, replay, synthesize_churn
 from repro.durability import (
     DISK_MODES,
     CrashError,
@@ -21,7 +21,6 @@ from repro.durability import (
     mutilate,
     recover_fabric,
 )
-from repro.fabric import FabricChurnEngine
 from tests.durability.conftest import SWEEP_CHURN, SWEEP_SEED, chain, make_fabric
 
 #: Upper bound on WAL-append ordinals: the sweep stream commits ~430 fabric
@@ -47,7 +46,7 @@ def oracle(sweep_events, tmp_path_factory):
     durability = FabricDurability(directory, fsync="always", checkpoint_every=0)
     durability.attach(fabric)
     digests = {0: fabric.digest()}
-    FabricChurnEngine(fabric).replay(sweep_events)
+    replay(fabric, sweep_events)
     for record in durability.wal.records():
         digests[record.lsn] = record.data["digest"]
     durability.close()
@@ -67,11 +66,10 @@ def crash_run(tmp_path, events, point, mode):
         fault_hook=FaultInjector(point),
     )
     durability.attach(fabric)
-    engine = FabricChurnEngine(fabric)
     crashed = False
     try:
         for event in events:
-            engine.apply(event)
+            apply_event(fabric, event)
     except CrashError:
         crashed = True
     durable = durability.wal.durable_offset
@@ -113,10 +111,9 @@ def test_fsync_off_crash_can_lose_everything_but_stays_consistent(
         fault_hook=FaultInjector(CrashPoint("wal.after-append", at=120)),
     )
     durability.attach(fabric)
-    engine = FabricChurnEngine(fabric)
     with pytest.raises(CrashError):
         for event in sweep_events:
-            engine.apply(event)
+            apply_event(fabric, event)
     durable = durability.wal.durable_offset
     durability.abort()
     mutilate(durability.wal.path, "lose-unsynced", durable_offset=durable)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.controller import ChurnEngine, SfcController, synthesize_churn
+from repro.controller import SfcController, replay, synthesize_churn
 from repro.core.spec import ProblemInstance, SwitchSpec
 from repro.durability import (
     ControllerDurability,
@@ -94,7 +94,7 @@ def journaled_run(tmp_path_factory):
     durability = ControllerDurability(directory, checkpoint_every=0)
     durability.attach(controller)
     events = synthesize_churn(SWEEP_CHURN, SWEEP_SEED)[:150]
-    ChurnEngine(controller).replay(events)
+    replay(controller, events)
     records = durability.wal.records()
     durability.close()
     assert len(records) >= 20

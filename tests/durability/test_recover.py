@@ -4,7 +4,7 @@ policy, disk mutilation, and crashes mid two-phase install / mid drain."""
 
 import pytest
 
-from repro.controller import ChurnEngine, synthesize_churn
+from repro.controller import replay, synthesize_churn
 from repro.durability import (
     DISK_MODES,
     ControllerDurability,
@@ -17,7 +17,6 @@ from repro.durability import (
     recover_fabric,
     scan_wal,
 )
-from repro.fabric import FabricChurnEngine
 from tests.durability.conftest import (
     SWEEP_CHURN,
     SWEEP_SEED,
@@ -53,7 +52,7 @@ def test_clean_shutdown_recovers_bit_identical(tmp_path, tiny_instance):
     controller, durability = durable_controller(
         tmp_path, tiny_instance, fsync="always", checkpoint_every=0
     )
-    ChurnEngine(controller).replay(churn_events(n=80))
+    replay(controller, churn_events(n=80))
     live_digest = controller.state.digest()
     live_tenants = sorted(controller.tenants)
     durability.close()
@@ -75,7 +74,7 @@ def test_recovery_is_idempotent(tmp_path, tiny_instance):
     controller, durability = durable_controller(
         tmp_path, tiny_instance, fsync="always", checkpoint_every=0
     )
-    ChurnEngine(controller).replay(churn_events(n=60))
+    replay(controller, churn_events(n=60))
     durability.close()
 
     first, report1 = recover_controller(tmp_path)
@@ -115,7 +114,7 @@ def test_abort_recovers_to_durable_prefix(tmp_path, tiny_instance):
     controller, durability = durable_controller(
         tmp_path, tiny_instance, fsync="batch", batch_every=8, checkpoint_every=0
     )
-    ChurnEngine(controller).replay(churn_events(n=100))
+    replay(controller, churn_events(n=100))
     genesis = make_controller(tiny_instance).state.digest()
     durable = durability.wal.durable_offset
     durability.abort()  # simulated death: no clean-shutdown fsync
@@ -136,7 +135,7 @@ def test_mid_stream_checkpoints_shorten_replay(tmp_path, tiny_instance):
     )
     # The tiny switch refuses most of the stream; the full 430-event sweep
     # commits ~100 ops, enough for several checkpoint cycles.
-    ChurnEngine(controller).replay(churn_events())
+    replay(controller, churn_events())
     live_digest = controller.state.digest()
     taken = durability.checkpoints_taken
     durability.close()
@@ -154,7 +153,7 @@ def test_disk_mutilation_modes_recover_cleanly(tmp_path, tiny_instance, mode):
     controller, durability = durable_controller(
         tmp_path, tiny_instance, fsync="batch", batch_every=4, checkpoint_every=0
     )
-    ChurnEngine(controller).replay(churn_events(n=60))
+    replay(controller, churn_events(n=60))
     genesis = make_controller(tiny_instance).state.digest()
     durable = durability.wal.durable_offset
     durability.abort()
@@ -227,12 +226,12 @@ def test_fabric_churn_with_drain_recovers_bit_identical(tmp_path):
         tmp_path, fsync="always", checkpoint_every=0
     )
     events = churn_events(n=80)
-    FabricChurnEngine(fabric).replay(events[:40])
+    replay(fabric, events[:40])
     names = fabric.topology.switch_names
     fabric.drain(names[1])
-    FabricChurnEngine(fabric).replay(events[40:60])
+    replay(fabric, events[40:60])
     fabric.undrain(names[1])
-    FabricChurnEngine(fabric).replay(events[60:])
+    replay(fabric, events[60:])
     live_digest = fabric.digest()
     durability.close()
     ops = {r.op for r in scan_wal(durability.wal.path).records}
@@ -250,7 +249,7 @@ def test_fabric_recovery_restores_from_checkpoint(tmp_path):
     fabric, durability = durable_fabric(
         tmp_path, fsync="always", checkpoint_every=24
     )
-    FabricChurnEngine(fabric).replay(churn_events(n=120))
+    replay(fabric, churn_events(n=120))
     live_digest = fabric.digest()
     assert durability.checkpoints_taken >= 1
     durability.close()
@@ -295,7 +294,7 @@ def test_fabric_abort_with_torn_tail_recovers(tmp_path):
     fabric, durability = durable_fabric(
         tmp_path, fsync="batch", batch_every=8, checkpoint_every=0
     )
-    FabricChurnEngine(fabric).replay(churn_events(n=90))
+    replay(fabric, churn_events(n=90))
     genesis = make_fabric().digest()
     durability.abort()
     mutilate(durability.wal.path, "tear")

@@ -16,13 +16,8 @@ Replay a 500+-event seeded churn stream over a 4-switch fabric and require:
 
 import pytest
 
-from repro.controller import ChurnConfig, synthesize_churn
-from repro.fabric import (
-    FabricChurnEngine,
-    FabricOrchestrator,
-    FabricTopology,
-    make_partitioner,
-)
+from repro.controller import ChurnConfig, apply_event, replay, synthesize_churn
+from repro.fabric import FabricOrchestrator, FabricTopology, make_partitioner
 from repro.rng import DEFAULT_SEED
 from repro.traffic.workload import WorkloadConfig
 
@@ -53,9 +48,8 @@ def test_fabric_churn_invariant_bit_identical(events, strategy):
     fabric = FabricOrchestrator(
         topo, num_types=6, partitioner=make_partitioner(strategy)
     )
-    engine = FabricChurnEngine(fabric)
     for i, event in enumerate(events):
-        engine.apply(event)
+        apply_event(fabric, event)
         if i % 100 == 0:  # audit mid-stream, not only at the end
             assert fabric.check_invariant() == []
     assert fabric.check_invariant() == []
@@ -67,7 +61,7 @@ def test_fabric_churn_invariant_bit_identical(events, strategy):
 def test_drain_after_churn_keeps_every_rehomed_chain_forwarding(events):
     topo = FabricTopology.full_mesh(4)
     fabric = FabricOrchestrator(topo, num_types=6)
-    report = FabricChurnEngine(fabric).replay(events)
+    report = replay(fabric, events)
     assert report.num_events == len(events)
     assert fabric.check_invariant() == []
 
@@ -93,10 +87,9 @@ def test_drain_after_churn_keeps_every_rehomed_chain_forwarding(events):
     # Churn keeps working on the degraded fabric.
     more = synthesize_churn(CONFIG, rng=DEFAULT_SEED + 1)
     shifted = [e for e in more if e.kind.value != "modify"][:100]
-    engine = FabricChurnEngine(fabric)
     for event in shifted:
         # Re-used tenant ids collide with churn survivors; that is fine —
         # the orchestrator rejects duplicates and the invariant must hold
         # regardless.
-        engine.apply(event)
+        apply_event(fabric, event)
     assert fabric.check_invariant() == []

@@ -1,7 +1,6 @@
 """Unit tests for fast-path fallback behaviour: uncompilable tenants take
-the interpreter, backend selection degrades without numpy, and special
-packets (traced / sampled / mid-recirculation / pre-dropped) route to the
-oracle."""
+the interpreter, and special packets (traced / sampled / mid-recirculation
+/ pre-dropped) route to the oracle."""
 
 from __future__ import annotations
 
@@ -17,8 +16,9 @@ from repro.dataplane.table import (
     TableEntry,
 )
 from repro.errors import DataPlaneError
-from repro.fastpath import HAS_NUMPY, FastPathEngine
-from repro.fastpath.kernels import NumpyKernel, PythonKernel
+from repro.fabric import FabricOrchestrator, FabricTopology
+from repro.fastpath import FastPathEngine
+from repro.fastpath.kernels import NumpyKernel
 
 
 def build_pipeline():
@@ -52,7 +52,7 @@ def batch(tenant_id, n=16):
 
 def test_uncompilable_tenant_takes_interpreter_and_matches_it():
     ref, got = build_pipeline(), build_pipeline()
-    engine = FastPathEngine.attach(got, backend="python")
+    engine = FastPathEngine.attach(got)
     ref_results = ref.process_batch(batch(2) + batch(1))
     got_results = got.process_batch(batch(2) + batch(1))
     for a, b in zip(ref_results, got_results):
@@ -66,7 +66,7 @@ def test_uncompilable_tenant_takes_interpreter_and_matches_it():
 
 def test_negative_plan_is_cached_not_reclassified():
     pipeline = build_pipeline()
-    engine = FastPathEngine.attach(pipeline, backend="python")
+    engine = FastPathEngine.attach(pipeline)
     pipeline.process_batch(batch(2))
     compiles = engine.stats["compiles"]
     pipeline.process_batch(batch(2))
@@ -76,7 +76,7 @@ def test_negative_plan_is_cached_not_reclassified():
 
 def test_special_packets_route_to_interpreter():
     pipeline = build_pipeline()
-    engine = FastPathEngine.attach(pipeline, backend="python")
+    engine = FastPathEngine.attach(pipeline)
     mid_recirc = Packet(tenant_id=1, dst_port=80, pass_id=2)
     pre_dropped = Packet(tenant_id=1, dst_port=81)
     pre_dropped.dropped = True
@@ -88,52 +88,30 @@ def test_special_packets_route_to_interpreter():
 
 def test_trace_batches_are_fully_interpreted():
     pipeline = build_pipeline()
-    engine = FastPathEngine.attach(pipeline, backend="python")
+    engine = FastPathEngine.attach(pipeline)
     results = pipeline.process_batch(batch(1, 4), trace=True)
     assert engine.stats["interpreted_packets"] == 4
     assert engine.stats["compiled_packets"] == 0
     assert all(r.postcard is not None for r in results)
 
 
-def test_explicit_python_backend():
-    pipeline = build_pipeline()
-    engine = FastPathEngine.attach(pipeline, backend="python")
-    assert isinstance(engine.kernel, PythonKernel)
-    assert engine.backend == "python"
-
-
-@pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
 def test_auto_prefers_numpy_when_available():
     engine = FastPathEngine.attach(build_pipeline())
     assert isinstance(engine.kernel, NumpyKernel)
-    assert engine.backend == "numpy"
-
-
-def test_auto_degrades_to_python_without_numpy(monkeypatch):
-    import repro.fastpath.engine as engine_mod
-
-    monkeypatch.setattr(engine_mod, "HAS_NUMPY", False)
-    engine = FastPathEngine.attach(build_pipeline(), backend="auto")
-    assert isinstance(engine.kernel, PythonKernel)
-    assert engine.backend == "python"
-
-
-def test_numpy_backend_errors_without_numpy(monkeypatch):
-    import repro.fastpath.engine as engine_mod
-
-    monkeypatch.setattr(engine_mod, "HAS_NUMPY", False)
-    with pytest.raises(DataPlaneError, match="repro\\[fast\\]"):
-        FastPathEngine(build_pipeline(), backend="numpy")
 
 
 def test_unknown_backend_rejected():
+    # The fabric's fastpath_backend keyword names the one kernel only.
     with pytest.raises(DataPlaneError, match="unknown fastpath backend"):
-        FastPathEngine(build_pipeline(), backend="fortran")
+        FabricOrchestrator(
+            FabricTopology.full_mesh(2), num_types=3, fastpath=True,
+            fastpath_backend="auto",
+        )
 
 
 def test_detach_restores_interpreter():
     pipeline = build_pipeline()
-    engine = FastPathEngine.attach(pipeline, backend="python")
+    engine = FastPathEngine.attach(pipeline)
     assert pipeline.fastpath is engine
     engine.detach()
     assert pipeline.fastpath is None

@@ -66,3 +66,28 @@ def test_bad_sfc_modify_is_400_and_changes_nothing(served, case):
         client._request("PUT", "/v1/tenants/1", BAD_BODIES[case])
     assert fabric.digest() == before
     assert fabric.check_invariant() == []
+
+
+BAD_TENANT_PATHS = ["-1", "+1", "1_0", "%EF%BC%91", "1.0", "0x1", "abc"]
+
+
+@pytest.mark.parametrize("raw", BAD_TENANT_PATHS)
+@pytest.mark.parametrize("method", ["DELETE", "PUT"])
+def test_bad_tenant_id_in_path_is_400_and_changes_nothing(served, method, raw):
+    fabric, client = served
+    before = fabric.digest()
+    body = {"sfc": chain(1).to_dict()} if method == "PUT" else None
+    with pytest.raises(FrontendError, match="-> 400"):
+        client._request(method, f"/v1/tenants/{raw}", body)
+    assert fabric.digest() == before
+    assert fabric.check_invariant() == []
+
+
+def test_tenant_id_parser_takes_ascii_digits_only():
+    from repro.frontend.server import _Handler
+
+    assert _Handler._parse_tenant_id("0") == 0
+    assert _Handler._parse_tenant_id("42") == 42
+    for raw in ("-1", "+1", "1_0", "１", "²", " 1", ""):
+        with pytest.raises(FrontendError):
+            _Handler._parse_tenant_id(raw)

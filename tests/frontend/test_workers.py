@@ -126,3 +126,32 @@ def test_stop_is_idempotent_and_leaves_a_quiesced_fabric(fabric):
     # After a clean stop the fabric digests and audits like a serial one.
     assert fabric.digest()
     assert fabric.check_invariant() == []
+
+
+def test_replay_drives_the_client_exactly_like_the_fabric(spec, fabric, pool):
+    """The one churn driver takes any admit/evict/modify target: the same
+    stream through the in-process client and straight into an identical
+    fabric yields the same decisions and the same final state."""
+    from repro.controller import ChurnConfig, replay, synthesize_churn
+    from repro.fabric import FabricOrchestrator, FabricTopology
+    from repro.traffic.workload import WorkloadConfig
+
+    config = ChurnConfig(
+        duration_s=4.0, arrival_rate_per_s=10.0, mean_lifetime_s=2.0,
+        workload=WorkloadConfig(num_sfcs=0, num_types=3, avg_chain_length=2,
+                                chain_length_spread=1, rules_min=1, rules_max=5),
+    )
+    events = synthesize_churn(config, rng=5)
+    direct = FabricOrchestrator(
+        FabricTopology.full_mesh(4, spec=spec), num_types=3, with_dataplane=False
+    )
+    expected = replay(direct, events)
+    pool.start()
+    served = replay(FrontendClient(pool, timeout=10.0), events)
+    pool.stop(timeout=10.0)
+    assert served.num_events == len(events) and served.wall_seconds > 0
+    assert served.summary()["admitted"] > 10
+    assert [r.ok for _e, r in served.results] == [
+        r.ok for _e, r in expected.results
+    ]
+    assert fabric.digest() == direct.digest()

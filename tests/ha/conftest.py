@@ -4,7 +4,7 @@ oracle an uninterrupted run journals."""
 
 import pytest
 
-from repro.controller import ChurnConfig, synthesize_churn
+from repro.controller import ChurnConfig, apply_event, synthesize_churn
 from repro.durability import FabricDurability
 from repro.traffic.workload import WorkloadConfig
 from tests.durability.conftest import SWEEP_SEED, make_fabric
@@ -46,16 +46,6 @@ class FakeClock:
 @pytest.fixture
 def clock() -> FakeClock:
     return FakeClock()
-
-
-def apply_event(fabric, event):
-    """Replay one churn event through the fabric's public ops."""
-    kind = event.kind.value
-    if kind == "arrival":
-        return fabric.admit(event.sfc)
-    if kind == "departure":
-        return fabric.evict(event.tenant_id)
-    return fabric.modify(event.tenant_id, event.sfc)
 
 
 @pytest.fixture(scope="session")

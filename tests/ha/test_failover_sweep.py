@@ -12,6 +12,7 @@ deterministic.
 
 import pytest
 
+from repro.controller import apply_event
 from repro.durability import (
     DISK_MODES,
     DURABILITY_SITES,
@@ -22,7 +23,7 @@ from repro.durability import (
 from repro.errors import FencedError
 from repro.ha import HaCluster, InProcessSink, WalShipper
 from tests.durability.conftest import SWEEP_SEED, make_fabric
-from tests.ha.conftest import FakeClock, apply_event
+from tests.ha.conftest import FakeClock
 
 #: Ordinals span the ~60-op stream: every site gets its first visit, seeded
 #: middles, and a last one (sites whose ordinal exceeds their actual visit

@@ -3,13 +3,13 @@ cadence, checkpoint bootstrap, the epoch gate, and promote-time guards."""
 
 import pytest
 
+from repro.controller import apply_event
 from repro.durability import FabricDurability
 from repro.durability.checkpoint import read_manifest
 from repro.durability.wal import WalRecord
 from repro.errors import DurabilityError
 from repro.ha import InProcessSink, StandbyReplica, WalShipper
 from tests.durability.conftest import chain, make_fabric
-from tests.ha.conftest import apply_event
 
 
 @pytest.fixture

@@ -125,3 +125,22 @@ def test_backends_agree_on_equality_heavy_model():
     b = solve(m, backend="scipy")
     assert a.objective == pytest.approx(b.objective)
     assert a.objective == pytest.approx(8.0)  # x=4,y=0,z=8
+
+
+def test_runtime_subsystems_import_without_scipy():
+    """scipy loads only when an LP is solved: the fabric, front end,
+    durability and fast path never pay for it."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = (
+        "import sys\n"
+        "import repro.fabric, repro.frontend, repro.durability, repro.fastpath\n"
+        "assert 'scipy' not in sys.modules, "
+        "sorted(m for m in sys.modules if m.startswith('scipy'))[:5]\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
